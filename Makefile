@@ -4,16 +4,18 @@ GO ?= go
 # nanosecond-scale micro-benches enough iterations to mean something;
 # use BENCHTIME=1s for numbers worth committing.
 BENCHTIME ?= 100ms
-# Current benchmark snapshot file, and the newest committed one to
-# diff against. The baseline must be picked by the *numeric* PR suffix:
+# Benchmark snapshot file, and the newest committed one to diff
+# against. The default output is an untracked scratch file, so a plain
+# `make bench-json` never overwrites a committed snapshot; record a new
+# one with `make bench-json BENCH_OUT=BENCH_prN.json`. The baseline must be picked by the *numeric* PR suffix:
 # make's $(sort) is lexical, so it would rank BENCH_pr10.json before
 # BENCH_pr2.json and silently diff against a stale snapshot once the
 # PR counter hits double digits. sort -t_ -k2.3 -n keys on the digits
 # after "BENCH_pr" instead.
-BENCH_OUT ?= BENCH_pr7.json
+BENCH_OUT ?= BENCH_local.json
 BENCH_BASE ?= $(shell ls BENCH_pr*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -t_ -k2.3 -n | tail -n1)
 
-.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check bench-json bench-diff chaos smoke-replicas
+.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check bench-json bench-diff chaos smoke-replicas stress
 
 build:
 	$(GO) build ./...
@@ -48,6 +50,20 @@ chaos:
 		./internal/cluster ./internal/par
 	$(GO) test -run 'TestHealthzDegraded|TestPeerFill|TestCacheFill' ./internal/serve
 
+# Concurrency stress gate: every test that pins a concurrency guarantee
+# (one build fleet-wide, lease takeover under chaos, request coalescing,
+# admission, drain, hits served before the gate, render-once), repeated
+# 500 times on two cores, then once under the race detector.
+# Each test states its guarantee as a GIVEN/WHEN/THEN comment. The gate
+# is 0 failures.
+STRESS_REPLICA = ^(TestConcurrentReplicasBuildOnce|TestChaosKilledLeaderConverges|TestLeaseTakeoverRebuildsByteIdentical)$$
+STRESS_SERVE = ^(TestCoalescingOneBuild|TestAdmissionGateRejects|TestDrainLetsInflightFinish|TestHitsBypassSaturatedGate|TestConcurrentHitsRenderOnce|TestGroupCoalescesConcurrentCallers|TestGroupWaiterAbandonsOnContextCancel|TestGateQueuesThenRejects|TestGateQueuedCallerHonorsContext)$$
+stress:
+	GOMAXPROCS=2 $(GO) test -count=500 -run '$(STRESS_REPLICA)' ./internal/replica
+	GOMAXPROCS=2 $(GO) test -count=500 -run '$(STRESS_SERVE)' ./internal/serve
+	$(GO) test -race -count=1 -run '$(STRESS_REPLICA)' ./internal/replica
+	$(GO) test -race -count=1 -run '$(STRESS_SERVE)' ./internal/serve
+
 # Multi-replica fleet smoke: 3 daemons over one shared checkpoint dir
 # (one chaos-armed), reprobench -strict against all three, single-signal
 # drain. The same contract the CI multi-replica-smoke job gates on.
@@ -61,8 +77,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Full hygiene gate: formatting, vet, the race detector, the
-# instrumentation-never-changes-outputs invariant, and the chaos suite.
-check: fmt-check chaos
+# instrumentation-never-changes-outputs invariant, the chaos suite and
+# the concurrency stress gate.
+check: fmt-check chaos stress
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestInstrumentationByteIdentical|TestInstrumentationDoesNotChangeResults' \
@@ -70,7 +87,7 @@ check: fmt-check chaos
 	$(GO) test -run 'TestReferencePlacementByteIdentical' ./internal/cluster
 	$(GO) test -run 'TestSketchMatchesExact|TestUsageSketchMatchesExactUsage' ./internal/stats ./internal/hostload
 	$(GO) test -run 'TestMetricsExposition|TestAccessLogWritten|TestMultiReplicaSmoke' ./cmd/reprod
-	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover' \
+	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover|TestHitsBypassSaturatedGate|TestReportAssembledByteIdentical|TestEvictionRebuildByteIdentical' \
 		./internal/serve ./internal/replica
 	$(MAKE) smoke-replicas
 	-$(MAKE) bench-diff BENCH_OUT=/tmp/BENCH_check.json
@@ -100,7 +117,7 @@ bench-diff: bench-json
 # never needs a push to debug. bench-diff is advisory there (a separate
 # continue-on-error job), so it is advisory here too: the leading dash
 # keeps a perf regression from masking a correctness failure.
-ci: fmt-check build test race chaos smoke-replicas
+ci: fmt-check build test race chaos stress smoke-replicas
 	-$(MAKE) bench-diff BENCH_OUT=/tmp/BENCH_ci.json
 
 repro-quick:

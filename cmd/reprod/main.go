@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		workloadDays = fs.Int("workload-days", 0, "override base workload horizon (days)")
 		ckptDir      = fs.String("checkpoint-dir", "", "warm-start artifacts from (and persist them to) this directory")
 		prewarm      = fs.Bool("prewarm", false, "build every base-scenario artifact in the background at startup")
-		maxInflight  = fs.Int("max-inflight", 0, "admission gate: concurrent artifact requests (0 = GOMAXPROCS)")
+		maxInflight  = fs.Int("max-inflight", 0, "admission gate: concurrent cache-missing requests (0 = GOMAXPROCS)")
 		maxQueue     = fs.Int("max-queue", 64, "admission gate: queued requests before 429")
 		maxContexts  = fs.Int("max-contexts", 8, "hard cap on cached per-scenario contexts (LRU)")
 		buildTimeout = fs.Duration("build-timeout", 0, "per-artifact build deadline (0 = none)")

@@ -62,9 +62,7 @@ func WriteResultMarkdown(w io.Writer, r *Result) error {
 // daemon always passes nil timing so served reports stay
 // byte-identical to uninstrumented CLI reports.
 func WriteMarkdownReport(w io.Writer, cfg Config, results []*Result, timing []report.TimingRow) error {
-	fmt.Fprintf(w, "# Reproduction report\n\n")
-	fmt.Fprintf(w, "Scale: %d machines, %.0f-day simulation, %.0f-day workload, seed %d.\n\n",
-		cfg.Machines, float64(cfg.SimHorizon)/86400, float64(cfg.WorkloadHorizon)/86400, cfg.Seed)
+	writeMarkdownHeader(w, cfg)
 	for _, r := range results {
 		if err := WriteResultMarkdown(w, r); err != nil {
 			return err
@@ -78,4 +76,27 @@ func WriteMarkdownReport(w io.Writer, cfg Config, results []*Result, timing []re
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// WriteMarkdownReportSections writes the report WriteMarkdownReport
+// produces for results and nil timing, from sections already rendered
+// by WriteResultMarkdown, one per result in list order. The daemon
+// caches each result's section and assembles /v1/report with it
+// instead of re-rendering every result.
+func WriteMarkdownReportSections(w io.Writer, cfg Config, sections [][]byte) error {
+	writeMarkdownHeader(w, cfg)
+	for _, s := range sections {
+		if _, err := w.Write(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeMarkdownHeader writes the title and scale line that open every
+// report.
+func writeMarkdownHeader(w io.Writer, cfg Config) {
+	fmt.Fprintf(w, "# Reproduction report\n\n")
+	fmt.Fprintf(w, "Scale: %d machines, %.0f-day simulation, %.0f-day workload, seed %d.\n\n",
+		cfg.Machines, float64(cfg.SimHorizon)/86400, float64(cfg.WorkloadHorizon)/86400, cfg.Seed)
 }

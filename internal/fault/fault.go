@@ -205,3 +205,17 @@ func Hit(site string) error {
 	}
 	return p.hit(site)
 }
+
+// HitKey marks a fault site that acts on one of many keys: it counts as
+// a hit of site and then of site+"@"+key, so a plan can aim a rule at
+// every key (Site: site) or at a single one (Site: site+"@"+key).
+func HitKey(site, key string) error {
+	p := active.Load()
+	if p == nil {
+		return nil
+	}
+	if err := p.hit(site); err != nil {
+		return err
+	}
+	return p.hit(site + "@" + key)
+}

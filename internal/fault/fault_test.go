@@ -121,3 +121,22 @@ func TestEnableRestores(t *testing.T) {
 		t.Fatal("Enabled() = true after restore")
 	}
 }
+
+func TestHitKeyAimsAtOneKey(t *testing.T) {
+	restore := Enable(NewPlan(Rule{Site: "s@b", Hit: 1, Kind: Error}))
+	defer restore()
+	if err := HitKey("s", "a"); err != nil {
+		t.Fatalf("HitKey(s, a) = %v, want nil: the rule is aimed at key b", err)
+	}
+	if err := HitKey("s", "b"); err == nil {
+		t.Fatal("HitKey(s, b) = nil, want the injected error")
+	}
+	restore2 := Enable(NewPlan(Rule{Site: "s", Hit: 2, Kind: Error}))
+	defer restore2()
+	if err := HitKey("s", "a"); err != nil {
+		t.Fatalf("first HitKey = %v, want nil", err)
+	}
+	if err := HitKey("s", "b"); err == nil {
+		t.Fatal("second HitKey = nil, want the site-wide rule to fire on any key")
+	}
+}

@@ -29,7 +29,7 @@ func TestLeaseAcquireReleaseCycle(t *testing.T) {
 	_, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	held, _, takeover, err := a.tryAcquire("k1")
+	held, mine, takeover, err := a.tryAcquire("k1")
 	if err != nil || !held || takeover {
 		t.Fatalf("a.tryAcquire: held=%v takeover=%v err=%v", held, takeover, err)
 	}
@@ -40,12 +40,22 @@ func TestLeaseAcquireReleaseCycle(t *testing.T) {
 	if cur.Owner != "a" {
 		t.Fatalf("cur.Owner = %q, want a", cur.Owner)
 	}
-	if err := a.release("k1"); err != nil {
+	if err := a.release("k1", mine, true); err != nil {
 		t.Fatalf("a.release: %v", err)
 	}
-	held, _, _, err = b.tryAcquire("k1")
-	if err != nil || !held {
-		t.Fatalf("b.tryAcquire after release: held=%v err=%v", held, err)
+	held, mine, takeover, err = b.tryAcquire("k1")
+	if err != nil || !held || takeover {
+		t.Fatalf("b.tryAcquire after release: held=%v takeover=%v err=%v", held, takeover, err)
+	}
+	// A release without a stored result leaves a released record,
+	// which the next claimant supersedes at once and does not count as
+	// a takeover.
+	if err := b.release("k1", mine, false); err != nil {
+		t.Fatalf("b.release: %v", err)
+	}
+	held, _, takeover, err = a.tryAcquire("k1")
+	if err != nil || !held || takeover {
+		t.Fatalf("a.tryAcquire after unstored release: held=%v takeover=%v err=%v", held, takeover, err)
 	}
 }
 
@@ -53,7 +63,8 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	if held, _, _, _ := a.tryAcquire("k"); !held {
+	held, mine, _, _ := a.tryAcquire("k")
+	if !held {
 		t.Fatal("a could not acquire a fresh key")
 	}
 	clk.advance(150 * time.Millisecond) // past the 100ms TTL
@@ -62,7 +73,7 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 		t.Fatalf("b after expiry: held=%v takeover=%v err=%v", held, takeover, err)
 	}
 	// a's renewal must now fail: the key belongs to b.
-	if _, err := a.renew("k", 1); !errors.Is(err, ErrLeaseLost) {
+	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("a.renew after takeover: err=%v, want ErrLeaseLost", err)
 	}
 }
@@ -71,13 +82,14 @@ func TestLeaseRenewExtendsDeadline(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	if held, _, _, _ := a.tryAcquire("k"); !held {
+	held, mine, _, _ := a.tryAcquire("k")
+	if !held {
 		t.Fatal("acquire failed")
 	}
 	clk.advance(80 * time.Millisecond)
-	seq, err := a.renew("k", 1)
-	if err != nil || seq != 2 {
-		t.Fatalf("renew: seq=%d err=%v", seq, err)
+	mine, err := a.renew("k", mine)
+	if err != nil || mine.Seq != 2 {
+		t.Fatalf("renew: seq=%d err=%v", mine.Seq, err)
 	}
 	// Past the original deadline but inside the renewed one: b must
 	// still see a live holder.
@@ -94,7 +106,7 @@ func TestLeaseRenewExtendsDeadline(t *testing.T) {
 func TestLeaseUnparseableFileReadsAsExpired(t *testing.T) {
 	_, ld := testLeases(t, "a")
 	a := ld[0]
-	if err := os.WriteFile(a.path("k"), []byte("torn writ"), 0o644); err != nil {
+	if err := os.WriteFile(a.path("k", 1), []byte("torn writ"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec, ok, err := a.read("k")
@@ -113,13 +125,51 @@ func TestLeaseUnparseableFileReadsAsExpired(t *testing.T) {
 func TestLeaseReleaseIgnoresForeignLease(t *testing.T) {
 	_, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
-	if held, _, _, _ := a.tryAcquire("k"); !held {
+	held, mine, _, _ := a.tryAcquire("k")
+	if !held {
 		t.Fatal("acquire failed")
 	}
-	if err := b.release("k"); err != nil {
+	// b names a's generation but is not its owner.
+	foreign := leaseRecord{Owner: "b", gen: mine.gen}
+	for _, stored := range []bool{true, false} {
+		if err := b.release("k", foreign, stored); err != nil {
+			t.Fatalf("b.release(stored=%v): %v", stored, err)
+		}
+		if cur, ok, _ := a.read("k"); !ok || cur != mine {
+			t.Fatalf("b.release(stored=%v) changed a's lease: ok=%v cur=%+v", stored, ok, cur)
+		}
+	}
+}
+
+// TestLeaseLateClaimantCannotDisplace: a waiter that judged an older
+// generation expired, and claims only after a competitor took the key
+// over, must lose — one link per generation, one winner.
+func TestLeaseLateClaimantCannotDisplace(t *testing.T) {
+	clk, ld := testLeases(t, "a", "b", "c")
+	a, b, c := ld[0], ld[1], ld[2]
+
+	if held, _, _, _ := a.tryAcquire("k"); !held {
+		t.Fatal("a could not acquire a fresh key")
+	}
+	stale, _, _ := c.read("k")
+	clk.advance(150 * time.Millisecond)
+	held, mine, takeover, err := b.tryAcquire("k")
+	if err != nil || !held || !takeover || mine.gen != 2 {
+		t.Fatalf("b after expiry: held=%v takeover=%v gen=%d err=%v", held, takeover, mine.gen, err)
+	}
+	// c links the generation after the expired record it read: b's.
+	if _, created, err := c.create("k", stale.gen+1); err != nil || created {
+		t.Fatalf("late c.create: created=%v err=%v, want the link refused", created, err)
+	}
+	if held, cur, _, _ := c.tryAcquire("k"); held || cur != mine {
+		t.Fatalf("c.tryAcquire while b holds: held=%v cur=%+v, want b's lease", held, cur)
+	}
+	// A stored result retires every generation.
+	if err := b.release("k", mine, true); err != nil {
 		t.Fatalf("b.release: %v", err)
 	}
-	if _, ok, _ := a.read("k"); !ok {
-		t.Fatal("b.release deleted a's lease")
+	leftovers, _ := os.ReadDir(a.dir)
+	for _, e := range leftovers {
+		t.Errorf("file %s left in the lease directory", e.Name())
 	}
 }

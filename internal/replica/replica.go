@@ -5,15 +5,20 @@
 // the requests land on — and keeps being served when the replica that
 // was building it dies mid-build.
 //
-// Protocol: the first replica to claim a key atomically creates
-// `<key>.lease` in the shared checkpoint directory (O_CREATE|O_EXCL,
-// owner ID, TTL deadline) and builds; its heartbeat renews the deadline
-// while the build runs. Every other replica waits: polling the shared
-// store for the finished artifact, asking sibling replicas over HTTP
+// Protocol: the first replica to claim a key atomically publishes
+// `<key>.lease.1` in the shared checkpoint directory (owner ID and TTL
+// deadline written to a temp file, then hard-linked into place, so the
+// file never exists without its record), re-reads the shared store in
+// case the previous holder published just before the claim, and
+// builds; its heartbeat renews the deadline while the build runs.
+// Every other replica waits: polling the shared store for the finished
+// artifact, asking sibling replicas over HTTP
 // (GET /v1/cache/{key}, each attempt deadline-bounded, rounds spaced by
 // jittered exponential backoff, attempts bounded). A waiter that finds
 // the lease expired — the builder crashed, or its heartbeat was severed
-// — deletes it and takes the key over, so no key can be orphaned.
+// — takes the key over by linking the next generation,
+// `<key>.lease.2` and so on, so no key can be orphaned and each
+// generation has exactly one holder.
 //
 // Every failure path degrades instead of failing the request: lease
 // directory unreachable → build locally without coordination; peers
@@ -393,7 +398,14 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 		}
 		if held {
 			c.leaseAcquired.Add(1)
-			return c.buildLeased(ctx, key, newV, build)
+			// Double-checked claim: the previous holder may have
+			// published and released between our store miss and this
+			// claim. Building now would be the key's second build.
+			if v, ok := c.loadStore(key, newV); ok {
+				c.leases.release(key, cur, true)
+				return v, SourceStore, nil
+			}
+			return c.buildLeased(ctx, key, cur, newV, build)
 		}
 		v, src, done, err := c.waitForHolder(ctx, key, cur, newV)
 		if done {
@@ -422,19 +434,19 @@ func (c *Coordinator) loadStore(key string, newV func() any) (any, bool) {
 
 // buildLeased runs build while heartbeating the held lease, publishes
 // the result to both tiers, and releases.
-func (c *Coordinator) buildLeased(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
-	stop := c.startHeartbeat(ctx, key)
+func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRecord, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
+	stop := c.startHeartbeat(ctx, key, mine)
 	v, err := build(ctx)
 	stop()
 	if err != nil {
 		// Give the next claimant a clean shot instead of making it
 		// wait out the TTL.
-		c.leases.release(key)
+		c.leases.release(key, mine, false)
 		return nil, SourceNone, err
 	}
 	c.buildDone.Add(1)
-	c.publish(key, v)
-	c.leases.release(key)
+	stored := c.publish(key, v)
+	c.leases.release(key, mine, stored)
 	return v, SourceBuild, nil
 }
 
@@ -453,14 +465,15 @@ func (c *Coordinator) buildLocal(ctx context.Context, key string, newV func() an
 	return v, src, nil
 }
 
-// publish installs a finished value in tier 1 and, best-effort, tier 2.
-// A store write failure marks the coordinator degraded — the artifact
-// still serves from the local tier; a duplicate store file (another
-// replica finished first) counts the redundant work.
-func (c *Coordinator) publish(key string, v any) {
+// publish installs a finished value in tier 1 and, best-effort, tier 2,
+// and reports whether tier 2 now holds it. A store write failure marks
+// the coordinator degraded — the artifact still serves from the local
+// tier; a duplicate store file (another replica finished first) counts
+// the redundant work.
+func (c *Coordinator) publish(key string, v any) (stored bool) {
 	payload, err := json.Marshal(v)
 	if err != nil {
-		return // unmarshalable values are served but not cacheable
+		return false // unmarshalable values are served but not cacheable
 	}
 	c.local.put(key, payload)
 	dup, err := c.store.SaveRaw(key, payload)
@@ -473,6 +486,7 @@ func (c *Coordinator) publish(key string, v any) {
 	default:
 		c.clearDegraded("store")
 	}
+	return err == nil
 }
 
 // startHeartbeat renews key's lease every heartbeat period until
@@ -480,13 +494,12 @@ func (c *Coordinator) publish(key string, v any) {
 // the build has already been taken over (finishing it stays harmless —
 // identical bytes); if the directory failed the lease will expire and
 // some replica, possibly this one, will reclaim the key.
-func (c *Coordinator) startHeartbeat(ctx context.Context, key string) (stop func()) {
+func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine leaseRecord) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		seq := int64(1)
 		t := time.NewTicker(c.heartbeatEvery)
 		defer t.Stop()
 		for {
@@ -497,7 +510,7 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string) (stop func
 				return
 			case <-t.C:
 				var err error
-				seq, err = c.leases.renew(key, seq)
+				mine, err = c.leases.renew(key, mine)
 				if err != nil {
 					if errors.Is(err, ErrLeaseLost) {
 						c.leaseLost.Add(1)
@@ -545,7 +558,7 @@ func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRe
 			return nil, SourceNone, false, nil
 		case !ok, rec.expired(now):
 			return nil, SourceNone, false, nil
-		case rec.Owner != cur.Owner:
+		case rec.gen != cur.gen:
 			// A takeover happened under us; keep waiting on the new
 			// holder with a fresh peer budget.
 			cur, round = rec, 0

@@ -98,6 +98,12 @@ func TestDoBuildsOnceThenServesFromTiers(t *testing.T) {
 	}
 }
 
+// TestConcurrentReplicasBuildOnce enforces one build fleet-wide.
+//
+// GIVEN three replicas over one shared store and a key none has built,
+// WHEN twelve concurrent Do calls for the key land on them,
+// THEN the build runs exactly once and every call returns the same
+// bytes.
 func TestConcurrentReplicasBuildOnce(t *testing.T) {
 	dir := t.TempDir()
 	reps := []*Coordinator{
@@ -138,12 +144,15 @@ func TestConcurrentReplicasBuildOnce(t *testing.T) {
 	}
 }
 
-// TestLeaseTakeoverRebuildsByteIdentical is the killed-leader scenario:
-// replica A claims the key and starts building, then "dies" — a chaos
-// rule on replica.lease.renew severs its first heartbeat, and its build
-// hangs until the test cancels it. Replica B waits out the TTL, deletes
-// the stale lease, takes the key over and rebuilds; the bytes it serves
-// must equal what a clean serial build produces.
+// TestLeaseTakeoverRebuildsByteIdentical enforces that a dead leader
+// cannot orphan a key.
+//
+// GIVEN replica A holding a key's lease with a hung build and its
+// first heartbeat severed by a chaos rule on replica.lease.renew,
+// WHEN replica B asks for the key,
+// THEN B waits out the TTL, takes the lease over, builds once, and
+// serves the bytes a clean serial build produces, with no duplicate
+// store write.
 func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
@@ -354,11 +363,14 @@ func TestDegradationClearsOnRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosKilledLeaderConverges is the acceptance chaos run: three
-// replicas, several keys in flight, the leader of one key killed
-// mid-build by a chaos rule. The fleet must converge to exactly one
-// effective build per key, at least one lease takeover, zero duplicate
-// store writes, and byte-identical artifacts everywhere.
+// TestChaosKilledLeaderConverges is the acceptance chaos run.
+//
+// GIVEN three replicas with four keys in flight, and r0, the victim
+// key's leader, killed mid-build by a chaos rule aimed at its lease,
+// WHEN the fleet converges,
+// THEN each key was built exactly once, at least one lease was taken
+// over, no store write was duplicated, and every replica serves
+// byte-identical artifacts.
 func TestChaosKilledLeaderConverges(t *testing.T) {
 	dir := t.TempDir()
 	reps := []*Coordinator{
@@ -366,15 +378,19 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 		testCoordinator(t, dir, "r1"),
 		testCoordinator(t, dir, "r2"),
 	}
-	// The chaos rule: the first heartbeat renewal in the run fails,
-	// killing that builder's lease while its build hangs.
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseRenew, Hit: 1, Kind: fault.Error}))()
-
 	keys := make([]string, 4)
 	for i := range keys {
 		keys[i] = ckpt.Key("chaos", fmt.Sprintf("k%d", i))
 	}
 	victim := keys[0]
+
+	// The chaos rule: the victim key's first heartbeat renewal fails,
+	// killing its builder's lease while the build hangs. The rule is
+	// aimed at the victim's key: a builder of another key whose
+	// heartbeat fires (it was descheduled past one heartbeat period)
+	// must not consume the fault, or the victim's lease would never
+	// expire.
+	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseRenew + "@" + victim, Hit: 1, Kind: fault.Error}))()
 
 	// The victim key's first builder hangs until killed; every other
 	// build (and the victim's rebuild) completes normally.
@@ -401,6 +417,11 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 	var rmu sync.Mutex
 	for _, key := range keys {
 		for r := range reps {
+			if key == victim && r == 1 {
+				// r0 must be the victim's leader: start the other
+				// replicas on the victim only once its build hangs.
+				<-building
+			}
 			wg.Add(1)
 			go func(key string, r int) {
 				defer wg.Done()
@@ -428,7 +449,6 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 			// process never runs its release path, so cancelling earlier
 			// would let the deferred release fire while the lease is
 			// still owned, which is a graceful shutdown, not a kill.
-			<-building
 			killOnce.Do(func() {
 				go func() {
 					deadline := time.Now().Add(5 * time.Second)

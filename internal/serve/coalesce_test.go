@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// TestGroupCoalescesConcurrentCallers enforces singleflight.
+//
+// GIVEN 50 concurrent Do calls for one key whose fn blocks,
+// WHEN the fn is released once all 49 duplicates are parked,
+// THEN fn ran exactly once and all 50 callers got its value.
 func TestGroupCoalescesConcurrentCallers(t *testing.T) {
 	var g group
 	var runs atomic.Int64
@@ -60,6 +65,13 @@ func TestGroupKeysAreIndependent(t *testing.T) {
 	}
 }
 
+// TestGroupWaiterAbandonsOnContextCancel enforces that a waiter's
+// cancellation is its own.
+//
+// GIVEN a flight in progress for a key,
+// WHEN a second caller joins it with an already-cancelled context,
+// THEN that caller returns context.Canceled at once and the flight
+// still completes for its leader without error.
 func TestGroupWaiterAbandonsOnContextCancel(t *testing.T) {
 	var g group
 	release := make(chan struct{})

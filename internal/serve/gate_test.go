@@ -26,6 +26,12 @@ func TestGateAdmitsUpToInflight(t *testing.T) {
 	}
 }
 
+// TestGateQueuesThenRejects enforces bounded admission.
+//
+// GIVEN a gate with one slot, held, and a one-deep queue, occupied,
+// WHEN another caller arrives,
+// THEN it gets ErrSaturated and serve.gate.rejected counts it, and the
+// queued caller is admitted as soon as the slot is released.
 func TestGateQueuesThenRejects(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := NewGate(1, 1, reg)
@@ -53,6 +59,13 @@ func TestGateQueuesThenRejects(t *testing.T) {
 	}
 }
 
+// TestGateQueuedCallerHonorsContext enforces that a queued wait can be
+// abandoned without leaking a slot.
+//
+// GIVEN a gate with its one slot held and a caller queued for it,
+// WHEN the queued caller's context is cancelled,
+// THEN it returns context.Canceled, and after the holder releases, the
+// slot can be acquired again.
 func TestGateQueuedCallerHonorsContext(t *testing.T) {
 	g := NewGate(1, 4, nil)
 	if err := g.Acquire(context.Background()); err != nil {

@@ -3,7 +3,15 @@
 // figures, tables, metric summaries, full markdown reports — on top of
 // the existing core.Context lazy-cell cache.
 //
-// The request path is: drain check → admission gate (bounded
+// The request path is: drain check → ETag revalidation (a matching
+// If-None-Match is a 304) → cache hit: when the scenario's context is
+// in the LRU and the artifact is built, the stored bytes of the
+// requested variant are written at once. A hit takes no admission slot
+// (its access-log gate_wait_us is 0), never creates a context, and
+// renders nothing after the variant's first request: each artifact
+// keeps its result plus every body rendered from it (JSON, markdown,
+// each table's CSV, each series' .dat), and /v1/report is assembled
+// from those bodies. Only a miss goes on: admission gate (bounded
 // concurrency + bounded queue, 429 beyond) → per-scenario context
 // lookup (LRU with a hard cap, keyed by the canonical config) →
 // singleflight coalescer (N concurrent requests for a cold artifact
@@ -17,8 +25,9 @@
 // Determinism contract: for the same config, the bytes served here are
 // byte-identical to the artifacts cmd/repro writes — CSV via the same
 // report.Table encoder, .dat via the same report.Series encoder,
-// markdown via the same core.WriteMarkdownReport — enforced by
-// TestServedBytesIdentical.
+// markdown via the same core.WriteResultMarkdown, reports via
+// core.WriteMarkdownReportSections, which shares its layout with
+// core.WriteMarkdownReport — enforced by TestServedBytesIdentical.
 //
 // The daemon also serves live host-load predictions at GET /v1/predict
 // (see predict.go), reusing the same gate, singleflight coalescing and
@@ -28,7 +37,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -97,9 +105,10 @@ type Config struct {
 	// hard stop that aborts in-flight builds. nil means Background.
 	BaseContext context.Context
 
-	// MaxInflight bounds concurrently admitted artifact requests
-	// (<= 0: GOMAXPROCS); MaxQueue bounds how many more may wait
-	// (0: default 64; negative: no queue).
+	// MaxInflight bounds concurrently admitted requests — artifact
+	// cache misses and predictions; artifact cache hits are answered
+	// before the gate (<= 0: GOMAXPROCS). MaxQueue bounds how many more
+	// may wait (0: default 64; negative: no queue).
 	MaxInflight int
 	MaxQueue    int
 
@@ -161,19 +170,28 @@ type Server struct {
 	reqLatency  *obs.Histogram
 	coShared    *obs.Counter
 	artifactHit *obs.Counter
+	renders     *obs.Counter
 	predictHit  *obs.Counter
 }
 
 // entry is one cached scenario: the shared core.Context whose lazy
 // cells memoize the heavy artifacts, a singleflight group coalescing
-// concurrent builds per experiment, and the finished results.
+// concurrent builds per experiment, and the finished artifacts with
+// their rendered bodies.
 type entry struct {
 	cfg  core.Config
 	cctx *core.Context
 	sf   group
 
-	mu      sync.RWMutex
-	results map[string]*core.Result
+	mu   sync.RWMutex
+	arts map[string]*artifact
+}
+
+// artifact returns the built artifact for expID, or nil.
+func (e *entry) artifact(expID string) *artifact {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.arts[expID]
 }
 
 // reqLatencyUppers buckets whole-request wall time (seconds).
@@ -218,6 +236,7 @@ func New(cfg Config) *Server {
 		reqLatency:   reg.Histogram("serve.req.latency_seconds", reqLatencyUppers),
 		coShared:     reg.Counter("serve.coalesce.shared"),
 		artifactHit:  reg.Counter("serve.artifact.hit"),
+		renders:      reg.Counter("serve.artifact.render"),
 		predictHit:   reg.Counter("serve.predict.hit"),
 	}
 	if cfg.Experiments != nil {
@@ -365,7 +384,7 @@ func (s *Server) entryFor(ctx context.Context, cfg core.Config) *entry {
 	e, hit := s.lru.getOrCreate(cfg.Canonical(), func() *entry {
 		c := core.NewContext(cfg)
 		c.SetRecorder(s.rec)
-		return &entry{cfg: cfg, cctx: c, results: make(map[string]*core.Result)}
+		return &entry{cfg: cfg, cctx: c, arts: make(map[string]*artifact)}
 	})
 	if hit {
 		obs.ReqInfoFrom(ctx).MarkCtxCached()
@@ -373,8 +392,27 @@ func (s *Server) entryFor(ctx context.Context, cfg core.Config) *entry {
 	return e
 }
 
+// cached returns the built artifacts for exps in cfg's scenario, or nil
+// if the scenario is not in the context LRU or any of them is unbuilt.
+// It is the hit path in front of the gate: it never creates a context.
+func (s *Server) cached(ctx context.Context, cfg core.Config, exps ...core.Experiment) []*artifact {
+	e, ok := s.lru.get(cfg.Canonical())
+	if !ok {
+		return nil
+	}
+	arts := make([]*artifact, len(exps))
+	for i, exp := range exps {
+		if arts[i] = e.artifact(exp.ID); arts[i] == nil {
+			return nil
+		}
+	}
+	obs.ReqInfoFrom(ctx).MarkCtxCached()
+	s.artifactHit.Add(int64(len(exps)))
+	return arts
+}
+
 // result returns exp's artifact for the entry's scenario, serving the
-// memoized result when warm and otherwise coalescing all concurrent
+// built artifact when warm and otherwise coalescing all concurrent
 // cold requests into one core.RunOne under the server's lifetime
 // context. ctx is the requester's wait budget only.
 //
@@ -384,13 +422,10 @@ func (s *Server) entryFor(ctx context.Context, cfg core.Config) *entry {
 // adopts that span, so the exp:/build:/ckpt: spans below RunOne join
 // this request's trace. If it joins another request's in-flight build
 // instead, its span records a link to the leader's span.
-func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*core.Result, error) {
-	e.mu.RLock()
-	r, ok := e.results[exp.ID]
-	e.mu.RUnlock()
-	if ok {
+func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*artifact, error) {
+	if a := e.artifact(exp.ID); a != nil {
 		s.artifactHit.Add(1)
-		return r, nil
+		return a, nil
 	}
 	ri := obs.ReqInfoFrom(ctx)
 	var csp *obs.Span
@@ -412,10 +447,11 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*co
 		if err != nil {
 			return nil, err
 		}
+		a := newArtifact(res)
 		e.mu.Lock()
-		e.results[exp.ID] = res
+		e.arts[exp.ID] = a
 		e.mu.Unlock()
-		return res, nil
+		return a, nil
 	})
 	if shared {
 		s.coShared.Add(1)
@@ -427,7 +463,7 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*co
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.Result), nil
+	return v.(*artifact), nil
 }
 
 // runArtifact produces one artifact under the in-process singleflight
@@ -645,79 +681,30 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.exps[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
-		return
-	}
 	format := r.URL.Query().Get("format")
 	if format != "" && format != "json" && format != "md" {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("format: want json or md, got %q", format))
-		return
-	}
-	cfg, err := s.configFor(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	variant := "json"
 	if format == "md" {
 		variant = "md"
 	}
-	if s.revalidate(w, r, artifactETag(cfg, exp.ID, variant)) {
-		return
-	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
-		return
-	}
-	if format == "md" {
-		var buf bytes.Buffer
-		if err := core.WriteResultMarkdown(&buf, res); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/markdown; charset=utf-8", buf.Bytes())
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	s.serveVariant(w, r, variant)
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.exps[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
-		return
-	}
-	cfg, err := s.configFor(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	want := r.PathValue("table")
-	if s.revalidate(w, r, artifactETag(cfg, exp.ID, "csv:"+want)) {
-		return
-	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
-		return
-	}
-	for _, tbl := range res.Tables {
-		if tbl.ID != want {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := tbl.WriteCSV(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/csv; charset=utf-8", buf.Bytes())
-		return
-	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no table %q", exp.ID, want))
+	s.serveVariant(w, r, "csv:"+r.PathValue("table"))
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
+	s.serveVariant(w, r, "dat:"+r.PathValue("series"))
+}
+
+// serveVariant is the shared body of the artifact routes: resolve the
+// experiment and scenario, answer a revalidation or a cache hit in
+// front of the gate, and only on a miss take a slot and build.
+func (s *Server) serveVariant(w http.ResponseWriter, r *http.Request, variant string) {
 	exp, ok := s.exps[r.PathValue("id")]
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q", r.PathValue("id")))
@@ -728,27 +715,23 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	want := r.PathValue("series")
-	if s.revalidate(w, r, artifactETag(cfg, exp.ID, "dat:"+want)) {
+	if s.revalidate(w, r, artifactETag(cfg, exp.ID, variant)) {
 		return
 	}
-	res, ok := s.buildFor(w, r, cfg, exp)
-	if !ok {
+	if arts := s.cached(r.Context(), cfg, exp); arts != nil {
+		s.writeVariant(w, arts[0], variant)
 		return
 	}
-	for _, ser := range res.Series {
-		if ser.ID != want {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := ser.WriteDAT(&buf); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeBytes(w, "text/plain; charset=utf-8", buf.Bytes())
+	if !s.admit(w, r) {
 		return
 	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("experiment %s has no series %q", exp.ID, want))
+	defer s.gate.Release()
+	a, err := s.result(r.Context(), s.entryFor(r.Context(), cfg), exp)
+	if err != nil {
+		s.writeBuildError(w, err)
+		return
+	}
+	s.writeVariant(w, a, variant)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -774,49 +757,23 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s.revalidate(w, r, reportETag(cfg, exps, variant)) {
 		return
 	}
+	if arts := s.cached(r.Context(), cfg, exps...); arts != nil {
+		s.writeReport(w, cfg, arts, variant)
+		return
+	}
 	if !s.admit(w, r) {
 		return
 	}
 	defer s.gate.Release()
 	e := s.entryFor(r.Context(), cfg)
-	results := make([]*core.Result, len(exps))
+	arts := make([]*artifact, len(exps))
 	for i, exp := range exps {
-		res, err := s.result(r.Context(), e, exp)
-		if err != nil {
+		if arts[i], err = s.result(r.Context(), e, exp); err != nil {
 			s.writeBuildError(w, err)
 			return
 		}
-		results[i] = res
 	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, results)
-		return
-	}
-	var buf bytes.Buffer
-	// nil timing on purpose: served reports match uninstrumented CLI
-	// reports byte for byte.
-	if err := core.WriteMarkdownReport(&buf, cfg, results, nil); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeBytes(w, "text/markdown; charset=utf-8", buf.Bytes())
-}
-
-// buildFor is the shared admission → coalesced-build prefix of every
-// artifact handler (the handler has already parsed cfg, which the ETag
-// derivation needed first). ok=false means the response has already
-// been written.
-func (s *Server) buildFor(w http.ResponseWriter, r *http.Request, cfg core.Config, exp core.Experiment) (*core.Result, bool) {
-	if !s.admit(w, r) {
-		return nil, false
-	}
-	defer s.gate.Release()
-	res, err := s.result(r.Context(), s.entryFor(r.Context(), cfg), exp)
-	if err != nil {
-		s.writeBuildError(w, err)
-		return nil, false
-	}
-	return res, true
+	s.writeReport(w, cfg, arts, variant)
 }
 
 // writeBuildError maps a build failure onto a status: deadline → 504,

@@ -183,9 +183,13 @@ func TestServedBytesIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalescingOneBuild fires 100 concurrent requests at one cold
-// artifact and requires exactly one build: one Run invocation, one
-// core.cell.google_tasks.miss, and 99 coalesced waiters.
+// TestCoalescingOneBuild enforces one build per cold artifact.
+//
+// GIVEN a cold artifact whose build blocks,
+// WHEN 100 concurrent requests for it are all in flight and the build
+// is released,
+// THEN all 100 get 200 with identical bodies from exactly one Run, one
+// core.cell.google_tasks.miss and 99 serve.coalesce.shared.
 func TestCoalescingOneBuild(t *testing.T) {
 	st := &stubState{release: make(chan struct{})}
 	rec := obs.NewRecorder()
@@ -240,9 +244,13 @@ func TestCoalescingOneBuild(t *testing.T) {
 	}
 }
 
-// TestAdmissionGateRejects fills the single slot and the 2-deep queue,
-// then requires the next request to bounce with 429 while everyone
-// admitted still completes.
+// TestAdmissionGateRejects enforces load shedding at admission.
+//
+// GIVEN a daemon with one slot, held by a cold build, and a 2-deep
+// queue, full,
+// WHEN one more cold request arrives,
+// THEN it gets 429 and serve.gate.rejected is 1, while the three
+// admitted requests all complete with 200.
 func TestAdmissionGateRejects(t *testing.T) {
 	st := &stubState{entered: make(chan struct{}, 8), release: make(chan struct{})}
 	rec := obs.NewRecorder()
@@ -288,9 +296,12 @@ func TestAdmissionGateRejects(t *testing.T) {
 	}
 }
 
-// TestDrainLetsInflightFinish begins a drain with one request mid-build
-// and checks the drain contract: new requests (healthz included) get
-// 503 immediately, the in-flight one still completes.
+// TestDrainLetsInflightFinish enforces graceful drain.
+//
+// GIVEN one request in the middle of its build,
+// WHEN the server begins draining,
+// THEN new artifact and /healthz requests get 503 at once, and the
+// in-flight request still completes with 200.
 func TestDrainLetsInflightFinish(t *testing.T) {
 	st := &stubState{entered: make(chan struct{}, 8), release: make(chan struct{})}
 	s := New(Config{
