@@ -48,15 +48,16 @@ chaos:
 	$(GO) test ./internal/fault ./internal/ckpt ./internal/replica
 	$(GO) test -run 'TestSimulateCtx|TestSimulateFaultSite|TestPanicStops|TestForEachCtx' \
 		./internal/cluster ./internal/par
-	$(GO) test -run 'TestHealthzDegraded|TestPeerFill|TestCacheFill' ./internal/serve
+	$(GO) test -run 'TestHealthzDegradedStillOK|TestLeaseLostDuringCoreBuildKeepsScenarioUsable' ./internal/serve
 
 # Concurrency stress gate: every test that pins a concurrency guarantee
-# (one build fleet-wide, lease takeover under chaos, request coalescing,
+# (one build fleet-wide, lease takeover under chaos, a superseded holder
+# never publishing, request coalescing,
 # admission, drain, hits served before the gate, render-once), repeated
 # 500 times on two cores, then once under the race detector.
 # Each test states its guarantee as a GIVEN/WHEN/THEN comment. The gate
 # is 0 failures.
-STRESS_REPLICA = ^(TestConcurrentReplicasBuildOnce|TestChaosKilledLeaderConverges|TestLeaseTakeoverRebuildsByteIdentical)$$
+STRESS_REPLICA = ^(TestConcurrentReplicasBuildOnce|TestChaosKilledLeaderConverges|TestLeaseTakeoverRebuildsByteIdentical|TestLeaseLostCancelsSlowHolder|TestLeaseLostBetweenTicksNeverPublishes)$$
 STRESS_SERVE = ^(TestCoalescingOneBuild|TestAdmissionGateRejects|TestDrainLetsInflightFinish|TestHitsBypassSaturatedGate|TestConcurrentHitsRenderOnce|TestGroupCoalescesConcurrentCallers|TestGroupWaiterAbandonsOnContextCancel|TestGateQueuesThenRejects|TestGateQueuedCallerHonorsContext)$$
 stress:
 	GOMAXPROCS=2 $(GO) test -count=500 -run '$(STRESS_REPLICA)' ./internal/replica

@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Warm the hot artifact on every replica so the hot class measures
 	// cache service, not one giant first build amortized over the run.
 	// Across a fleet sharing a checkpoint store the first warmup builds
-	// and the rest fill from the store or a peer.
+	// and the rest read it from the store.
 	for _, b := range bases {
 		if code, err := get(client, b+"/v1/artifacts/"+hotArtifact); err != nil || code != http.StatusOK {
 			fmt.Fprintf(stderr, "reprobench: warmup GET %s: status %d err %v\n", b, code, err)

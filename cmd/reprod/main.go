@@ -13,24 +13,24 @@
 //	       [-drain-timeout d] [-metrics-out file]
 //	       [-access-log file] [-access-log-sample n]
 //	       [-trace-buffer n] [-runtime-sample d]
-//	       [-replica-id name] [-peers host:port,...] [-lease-ttl d]
+//	       [-replica-id name] [-lease-ttl d]
 //	       [-chaos-seed n] [-chaos-prob p]
 //
-// Multi-replica mode (-replica-id, plus -peers and a shared
-// -checkpoint-dir) coordinates any number of daemons into one logical
+// Multi-replica mode (-replica-id over a -checkpoint-dir shared by
+// every replica) coordinates any number of daemons into one logical
 // cache: the first replica to claim a cold artifact takes a lease in
 // the checkpoint directory and builds it exactly once fleet-wide,
-// siblings fill their caches from GET /v1/cache/{key} or from the
-// shared store, and a replica that dies mid-build has its stale lease
-// taken over after -lease-ttl. -chaos-prob arms deterministic
-// error-kind fault injections (seeded by -chaos-seed) across the
-// replica failure surface, for convergence drills. See README "Running
-// N replicas".
+// siblings read it from the shared store, and a replica that dies
+// mid-build has its stale lease taken over after -lease-ttl.
+// -replica-id without -checkpoint-dir is rejected: without a shared
+// store there is nothing to coordinate through. -chaos-prob arms
+// deterministic error-kind fault injections (seeded by -chaos-seed)
+// across the replica failure surface, for convergence drills. See
+// README "Running N replicas".
 //
 // Endpoints (see README "Serving" for the full table): /healthz,
-// /metrics (Prometheus text by default, ?format=jsonl for the PR5
-// JSONL), /debug/trace and /debug/trace/{traceID} (span export, JSONL
-// or ?format=chrome), /v1/experiments, /v1/report,
+// /metrics (Prometheus text), /debug/trace and /debug/trace/{traceID}
+// (span export, JSONL or ?format=chrome), /v1/experiments, /v1/report,
 // /v1/artifacts/{id} (?format=json|md), /v1/artifacts/{id}/tables/{t}
 // (CSV), /v1/artifacts/{id}/series/{s} (.dat). Artifact routes accept
 // ?seed=&machines=&days=&workload_days= scenario overrides, served
@@ -70,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -112,8 +111,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		accessSample = fs.Int("access-log-sample", 1, "log every nth request (head-based, deterministic; 1 = all)")
 		traceBuffer  = fs.Int("trace-buffer", 4096, "span ring capacity for /debug/trace (bounded memory)")
 		runtimePd    = fs.Duration("runtime-sample", 10*time.Second, "runtime gauge sampling period (0 = off)")
-		replicaID    = fs.String("replica-id", "", "enable multi-replica coordination under this replica name")
-		peersFlag    = fs.String("peers", "", "comma-separated sibling replica addresses for cache fills (host:port or URL)")
+		replicaID    = fs.String("replica-id", "", "enable multi-replica coordination under this replica name (needs -checkpoint-dir)")
 		leaseTTL     = fs.Duration("lease-ttl", 5*time.Second, "distributed build-lease lifetime between heartbeats")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "deterministic fault-injection seed for the replica chaos sites")
 		chaosProb    = fs.Float64("chaos-prob", 0, "per-site probability of arming one injected error (0 = chaos off)")
@@ -174,14 +172,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "reprod: -runtime-sample must be non-negative\n")
 		return 2
 	}
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) > 0 && *replicaID == "" {
-		fmt.Fprintf(stderr, "reprod: -peers requires -replica-id\n")
+	if *replicaID != "" && *ckptDir == "" {
+		fmt.Fprintf(stderr, "reprod: -replica-id requires -checkpoint-dir: replicas coordinate through the shared store\n")
 		return 2
 	}
 	if *leaseTTL <= 0 {
@@ -221,23 +213,22 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	defer sampler.Stop()
 
 	// Multi-replica mode: every artifact build goes through the
-	// fleet-wide coordinator (shared-store singleflight via leases, peer
-	// cache fills). The coordinator owns checkpoint I/O on that path.
+	// fleet-wide coordinator (shared-store singleflight via leases). The
+	// coordinator owns checkpoint I/O on that path.
 	var coord *replica.Coordinator
 	if *replicaID != "" {
 		coord = replica.New(replica.Config{
 			ID:    *replicaID,
 			Store: store,
-			Peers: peers,
 			TTL:   *leaseTTL,
 			Rec:   rec,
 		})
-		fmt.Fprintf(stderr, "reprod: replica %q coordinating with %d peer(s), lease TTL %v\n",
-			*replicaID, len(peers), *leaseTTL)
+		fmt.Fprintf(stderr, "reprod: replica %q coordinating through %s, lease TTL %v\n",
+			*replicaID, *ckptDir, *leaseTTL)
 	}
 
 	// Chaos mode arms deterministic error injections across the replica
-	// failure surface (lease I/O, peer fetches, checkpoint writes). Only
+	// failure surface (lease I/O, checkpoint writes). Only
 	// Error-kind rules: the point is proving the daemon degrades and
 	// converges, not crashing it — kill-style failures are exercised by
 	// the test suite, which can afford to lose a process.

@@ -29,6 +29,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero trace buffer", []string{"-trace-buffer", "0"}, "-trace-buffer"},
 		{"negative runtime sample", []string{"-runtime-sample", "-1s"}, "-runtime-sample"},
 		{"unparseable flag", []string{"-machines", "lots"}, "invalid value"},
+		{"replica without store", []string{"-replica-id", "r0"}, "-replica-id requires -checkpoint-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +98,6 @@ func TestRunServeAndDrain(t *testing.T) {
 		{"/healthz", http.StatusOK, `"status":"ok"`},
 		{"/v1/experiments", http.StatusOK, "fig2"},
 		{"/metrics", http.StatusOK, "serve_req_total"},
-		{"/metrics?format=jsonl", http.StatusOK, "serve.req.total"},
 		{"/v1/artifacts/nonsense", http.StatusNotFound, "unknown experiment"},
 		{"/v1/predict?system=AuverGrid&hosts=2&days=1", http.StatusOK, "best-fit predictor"},
 		{"/v1/predict?system=Mars", http.StatusBadRequest, "system"},

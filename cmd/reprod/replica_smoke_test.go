@@ -9,14 +9,15 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestMultiReplicaSmoke is the fleet end-to-end: three daemons over one
-// shared checkpoint directory, peer lists pointing at each other, one
-// replica running with chaos injections armed. Every replica must serve
-// byte-identical artifacts, exactly one of them building; /healthz must
-// name each replica; and a single SIGTERM must drain all three to a
-// clean exit 0.
+// shared checkpoint directory, one replica running with chaos
+// injections armed. Every replica must serve byte-identical artifacts,
+// exactly one of them building; /healthz must name each replica; and a
+// single SIGTERM must drain all three to a clean exit 0.
 func TestMultiReplicaSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-daemon boot is seconds-slow")
@@ -30,7 +31,7 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		err  strings.Builder
 		done chan int
 	}
-	boot := func(name string, peers ...string) *daemon {
+	boot := func(name string) *daemon {
 		d := &daemon{done: make(chan int, 1)}
 		args := append([]string{
 			"-addr", "127.0.0.1:0",
@@ -38,9 +39,6 @@ func TestMultiReplicaSmoke(t *testing.T) {
 			"-replica-id", name,
 			"-lease-ttl", "500ms",
 		}, scenario...)
-		if len(peers) > 0 {
-			args = append(args, "-peers", strings.Join(peers, ","))
-		}
 		if name == "r2" {
 			// The chaos replica: deterministic error injections across
 			// the replica fault surface. It must still serve correctly.
@@ -58,11 +56,9 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		return d
 	}
 
-	// Peer lists need concrete addresses, so the fleet boots in order,
-	// each replica pointed at the ones already up.
 	r0 := boot("r0")
-	r1 := boot("r1", r0.addr)
-	r2 := boot("r2", r0.addr, r1.addr)
+	r1 := boot("r1")
+	r2 := boot("r2")
 	daemons := map[string]*daemon{"r0": r0, "r1": r1, "r2": r2}
 
 	client := &http.Client{Timeout: 60 * time.Second}
@@ -77,7 +73,7 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// Each replica identifies itself and its peer count on /healthz.
+	// Each replica identifies itself on /healthz.
 	for name, d := range daemons {
 		code, body := fetch(d.addr, "/healthz")
 		if code != http.StatusOK {
@@ -102,27 +98,27 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		t.Fatalf("replica bodies differ: lens %d/%d/%d", len(bodies[0]), len(bodies[1]), len(bodies[2]))
 	}
 
-	// Exactly one fleet-wide build: the store counts one "store" write
-	// (r0's) and the other replicas read it back. The builders' metrics
-	// are per-process, so count via each replica's own exposition.
-	builds := 0
+	// Exactly one fleet-wide build: r0 builds and publishes, the other
+	// replicas read the shared store. Each replica's counters are its
+	// own, so sum replica_build_done over the three expositions.
+	var builds float64
 	for name, d := range daemons {
-		code, body := fetch(d.addr, "/metrics?format=jsonl")
+		code, body := fetch(d.addr, "/metrics")
 		if code != http.StatusOK {
 			t.Fatalf("%s /metrics: %d", name, code)
 		}
-		if strings.Contains(body, `"name":"replica.build.done","type":"counter","value":1`) {
-			builds++
+		dump, err := obs.ParsePrometheus(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s /metrics does not parse: %v", name, err)
 		}
+		n, ok := dump.Value(obs.PromName("replica.build.done"))
+		if !ok {
+			t.Fatalf("%s /metrics has no replica_build_done", name)
+		}
+		builds += n
 	}
-	if builds > 1 {
-		t.Fatalf("%d replicas claim the build, want at most 1", builds)
-	}
-
-	// A cache fill from a sibling: ask r1 for a key r0 surely has.
-	code, body := fetch(r0.addr, "/v1/cache/"+strings.Repeat("0", 64))
-	if code != http.StatusNotFound {
-		t.Fatalf("bogus cache key: %d (%s)", code, body)
+	if builds != 1 {
+		t.Fatalf("replica_build_done summed over the fleet = %g, want exactly 1", builds)
 	}
 
 	// One SIGTERM reaches every in-process daemon; all must drain to 0.

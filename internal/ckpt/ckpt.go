@@ -14,7 +14,6 @@ package ckpt
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -266,8 +265,8 @@ func (s *Store) Load(key string, v any) (ok bool, err error) {
 }
 
 // LoadRaw looks up key and, on a hit, returns the validated payload
-// bytes without unmarshalling — the peer cache-fill endpoint streams
-// these verbatim, so every replica serves the identical encoding. The
+// bytes without unmarshalling, so a replica reading the shared store
+// decodes exactly the bytes the building replica wrote. The
 // miss/error contract matches Load.
 func (s *Store) LoadRaw(key string) (payload []byte, ok bool, err error) {
 	payload, ok, err = s.loadPayload(key)
@@ -337,12 +336,4 @@ func (s *Store) loadPayload(key string) (payload []byte, ok bool, err error) {
 		return reject(fmt.Sprintf("crc %08x, want %08x", got, crc))
 	}
 	return payload, true, nil
-}
-
-// ValidPayload reports whether raw is a payload another replica may
-// trust as a cache fill for a content-addressed key: non-empty,
-// well-formed JSON. (The CRC protects the disk path; HTTP transport has
-// its own integrity, so structural validity is the peer check.)
-func ValidPayload(raw []byte) bool {
-	return len(bytes.TrimSpace(raw)) > 0 && json.Valid(raw)
 }

@@ -117,8 +117,8 @@ func TestWriterSuffixInTempNames(t *testing.T) {
 }
 
 // TestSaveRawLoadRawRoundTrip: the raw-payload path must serve the
-// exact bytes Save would have produced, so peer cache fills are
-// byte-identical to local store hits.
+// exact bytes Save would have produced, so a replica's store reads are
+// byte-identical to the building replica's own.
 func TestSaveRawLoadRawRoundTrip(t *testing.T) {
 	s, reg := testStore(t)
 	in := payload{Name: "raw", Metrics: map[string]float64{"x": 1.25}}

@@ -17,7 +17,7 @@ const (
 	CatStage      = "stage"      // a coarse pipeline stage (emit, report, ...)
 	CatRequest    = "request"    // one served HTTP request (root span)
 	CatServe      = "serve"      // serving internals: gate wait, coalesce, ckpt
-	CatReplica    = "replica"    // cross-replica coordination: lease wait, peer fill
+	CatReplica    = "replica"    // cross-replica coordination: lease wait
 )
 
 // AutoTID asks the recorder to assign the span its own fresh trace

@@ -1,8 +1,8 @@
 package replica
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,10 +14,14 @@ import (
 
 // ErrLeaseLost is returned by renew when this replica's lease has been
 // superseded — another replica presumed us dead (an expired TTL) and
-// claimed the next generation of the key. The build keeps running: its
-// result is content-addressed, so finishing it is harmless, merely
-// redundant.
-var ErrLeaseLost = errors.New("replica: lease lost to another owner")
+// claimed the next generation of the key, or has already finished the
+// key and deleted its generations. The holder cancels its build with
+// this cause and never publishes it: the new holder owns the key.
+//
+// It wraps context.Canceled because it is one: it describes the
+// holder, not the artifact, so a build layer that memoizes failures
+// (core's artifact cells) must neither cache it nor retry it.
+var ErrLeaseLost = fmt.Errorf("replica: lease lost to another owner: %w", context.Canceled)
 
 // leaseRecord is the JSON body of a lease file. Expires is an absolute
 // wall-clock deadline: replicas share a filesystem, so they share a
@@ -166,18 +170,33 @@ func (l *leaseDir) read(key string) (rec leaseRecord, ok bool, err error) {
 	}
 }
 
-// superseded reports whether a generation after mine exists, i.e.
-// another replica has taken the key over.
+// superseded reports whether another replica has taken the key over:
+// a generation after mine exists, or mine is gone or no longer ours.
+// Only a release after a stored result deletes generations (and only
+// then can another replica claim a freed number again). It deletes them
+// oldest first, so the later generation is checked first: if mine+1
+// is gone, mine was gone before it, and mine can never look current
+// again while the new holder cleans up.
 func (l *leaseDir) superseded(key string, mine leaseRecord) (bool, error) {
 	_, err := os.Stat(l.path(key, mine.gen+1))
 	switch {
 	case err == nil:
 		return true, nil
-	case os.IsNotExist(err):
-		return false, nil
-	default:
+	case !os.IsNotExist(err):
 		return false, err
 	}
+	b, err := os.ReadFile(l.path(key, mine.gen))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return true, nil
+		}
+		return false, err
+	}
+	var cur leaseRecord
+	if json.Unmarshal(b, &cur) != nil || cur.Owner != l.owner {
+		return true, nil
+	}
+	return false, nil
 }
 
 // renew extends mine's deadline by one TTL, atomically replacing its
@@ -211,9 +230,9 @@ func (l *leaseDir) renew(key string, mine leaseRecord) (leaseRecord, error) {
 }
 
 // release gives up mine. stored reports whether the key's result is in
-// the shared store: then mine and every earlier generation are
-// deleted, since any later claimant's store re-read finds the result.
-// Otherwise (the build failed, or the store write did) mine is
+// the shared store: then every generation up to mine is deleted,
+// oldest first, since any later claimant's store re-read finds the
+// result. Otherwise (the build failed, or the store write did) mine is
 // overwritten with a released record, which the next claimant
 // supersedes at once instead of waiting out the TTL; deleting it would
 // let generation numbers repeat, and a claimant that probed before the
@@ -238,7 +257,8 @@ func (l *leaseDir) release(key string, mine leaseRecord, stored bool) error {
 		return nil // not ours: releasing it would free someone else's lease
 	}
 	if stored {
-		for gen := mine.gen; gen >= 1; gen-- {
+		// Oldest first; see superseded.
+		for gen := 1; gen <= mine.gen; gen++ {
 			os.Remove(l.path(key, gen))
 		}
 		return nil

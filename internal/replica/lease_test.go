@@ -68,13 +68,53 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 		t.Fatal("a could not acquire a fresh key")
 	}
 	clk.advance(150 * time.Millisecond) // past the 100ms TTL
-	held, _, takeover, err := b.tryAcquire("k")
+	held, bLease, takeover, err := b.tryAcquire("k")
 	if err != nil || !held || !takeover {
 		t.Fatalf("b after expiry: held=%v takeover=%v err=%v", held, takeover, err)
 	}
 	// a's renewal must now fail: the key belongs to b.
 	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("a.renew after takeover: err=%v, want ErrLeaseLost", err)
+	}
+	// Still lost once b has stored the result and deleted every
+	// generation, and the failed renewal does not bring a's back.
+	if err := b.release("k", bLease, true); err != nil {
+		t.Fatalf("b.release: %v", err)
+	}
+	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("a.renew after b's stored release: err=%v, want ErrLeaseLost", err)
+	}
+	if _, ok, _ := a.read("k"); ok {
+		t.Fatal("a's renewal recreated a lease for a finished key")
+	}
+}
+
+// TestLeaseReclaimedGenerationStaysSuperseded: once the new holder has
+// stored the result and deleted every generation, a third replica may
+// claim generation 1 again. The slow holder of the old generation 1
+// must still read its lease as lost, not as current again.
+func TestLeaseReclaimedGenerationStaysSuperseded(t *testing.T) {
+	clk, ld := testLeases(t, "a", "b", "c")
+	a, b, c := ld[0], ld[1], ld[2]
+
+	_, mine, _, _ := a.tryAcquire("k")
+	clk.advance(150 * time.Millisecond)
+	_, bLease, _, _ := b.tryAcquire("k")
+	if err := b.release("k", bLease, true); err != nil {
+		t.Fatalf("b.release: %v", err)
+	}
+	held, cLease, _, err := c.tryAcquire("k")
+	if err != nil || !held || cLease.gen != mine.gen {
+		t.Fatalf("c.tryAcquire: held=%v gen=%d err=%v, want generation %d", held, cLease.gen, err, mine.gen)
+	}
+	if lost, err := a.superseded("k", mine); err != nil || !lost {
+		t.Fatalf("a.superseded with c holding the reclaimed generation: lost=%v err=%v, want true", lost, err)
+	}
+	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("a.renew: err=%v, want ErrLeaseLost", err)
+	}
+	if rec, _, _ := c.read("k"); rec.Owner != "c" {
+		t.Fatalf("generation %d owned by %q after a's renewal, want c", rec.gen, rec.Owner)
 	}
 }
 

@@ -1,9 +1,10 @@
-// Package replica makes N serving daemons behave like one: a two-tier
-// content-addressed artifact cache (in-process payload LRU, then the
-// shared ckpt.Store) with lease-based distributed singleflight on top,
-// so a key is built once across the whole fleet no matter which replica
-// the requests land on — and keeps being served when the replica that
-// was building it dies mid-build.
+// Package replica makes N serving daemons behave like one: the shared
+// ckpt.Store is the fleet's content-addressed artifact cache, and
+// lease-based distributed singleflight on top of it builds a key once
+// across the whole fleet no matter which replica the requests land on
+// — and keeps serving it when the replica that was building it dies
+// mid-build. Each daemon keeps its own finished artifacts in serve's
+// per-artifact cache, so the coordinator is consulted only on a miss.
 //
 // Protocol: the first replica to claim a key atomically publishes
 // `<key>.lease.1` in the shared checkpoint directory (owner ID and TTL
@@ -11,38 +12,36 @@
 // file never exists without its record), re-reads the shared store in
 // case the previous holder published just before the claim, and
 // builds; its heartbeat renews the deadline while the build runs.
-// Every other replica waits: polling the shared store for the finished
-// artifact, asking sibling replicas over HTTP
-// (GET /v1/cache/{key}, each attempt deadline-bounded, rounds spaced by
-// jittered exponential backoff, attempts bounded). A waiter that finds
-// the lease expired — the builder crashed, or its heartbeat was severed
-// — takes the key over by linking the next generation,
-// `<key>.lease.2` and so on, so no key can be orphaned and each
-// generation has exactly one holder.
+// Every other replica waits, polling the shared store for the finished
+// artifact and watching the lease. A waiter that finds the lease
+// expired — its holder crashed, or its heartbeat was severed — takes
+// the key over by linking the next generation, `<key>.lease.2` and so
+// on, so no key can be orphaned and each generation has exactly one
+// holder. A holder whose heartbeat finds itself superseded cancels its
+// build with ErrLeaseLost; one that finds it only after the build
+// returns discards the result. Either way it never publishes, and waits
+// on the new holder instead.
 //
 // Every failure path degrades instead of failing the request: lease
-// directory unreachable → build locally without coordination; peers
-// unreachable → build locally; shared store unwritable → serve from the
-// local tier and report "degraded" through Degraded() (the daemon's
-// /healthz stays 200). Chaos sites (replica.lease.acquire/renew/
-// release, replica.peer.fetch, plus ckpt.write in the store) let the
-// fault-injection suite prove each of those degradations, and the lease
-// takeover, deterministically.
+// directory unreachable → build locally without coordination; shared
+// store unwritable → the built artifact is still served (and kept in
+// serve's artifact cache), and Degraded() reports "store" (the
+// daemon's /healthz stays 200). Chaos sites (replica.lease.acquire/
+// renew/release, plus ckpt.write in the store) let the fault-injection
+// suite prove each of those degradations, and the lease takeover,
+// deterministically.
 package replica
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
-	"repro/internal/rng"
 )
 
 // Chaos sites injected by the fault plan. SiteCkptWrite lives in
@@ -52,36 +51,29 @@ const (
 	SiteLeaseAcquire = "replica.lease.acquire"
 	SiteLeaseRenew   = "replica.lease.renew"
 	SiteLeaseRelease = "replica.lease.release"
-	SitePeerFetch    = "replica.peer.fetch"
 	SiteCkptWrite    = "ckpt.write"
 )
 
 // ChaosSites returns every fault site in the replica failure surface,
 // in a stable order — the site list chaos-enabled daemons arm.
 func ChaosSites() []string {
-	return []string{SiteLeaseAcquire, SiteLeaseRenew, SiteLeaseRelease, SitePeerFetch, SiteCkptWrite}
+	return []string{SiteLeaseAcquire, SiteLeaseRenew, SiteLeaseRelease, SiteCkptWrite}
 }
 
-// Source reports which tier satisfied a Do call.
+// Source reports how a Do call was satisfied.
 type Source int
 
 const (
 	SourceNone          Source = iota
-	SourceLocal                // tier 1: this replica's in-process payload LRU
-	SourceStore                // tier 2: the shared checkpoint store
-	SourcePeer                 // HTTP cache fill from a sibling replica
+	SourceStore                // read from the shared checkpoint store
 	SourceBuild                // built here under a held lease
-	SourceBuildUnleased        // built here without coordination (degraded)
+	SourceBuildUnleased        // built here without coordination (degraded or storeless)
 )
 
 func (s Source) String() string {
 	switch s {
-	case SourceLocal:
-		return "local"
 	case SourceStore:
 		return "store"
-	case SourcePeer:
-		return "peer"
 	case SourceBuild:
 		return "build"
 	case SourceBuildUnleased:
@@ -97,14 +89,10 @@ type Config struct {
 	// /healthz. Required.
 	ID string
 
-	// Store is the shared tier-2 cache; leases live in its directory.
-	// A disabled store leaves only tier 1 + peer fill + local builds
-	// (no cross-replica singleflight: there is nowhere to put a lease).
+	// Store is the shared cache; leases live in its directory. A
+	// disabled store leaves nothing to coordinate through: every Do
+	// builds locally.
 	Store *ckpt.Store
-
-	// Peers are sibling base addresses ("host:port" or full URLs) asked
-	// for cache fills. The replica's own address must not be listed.
-	Peers []string
 
 	// TTL is the lease lifetime between heartbeats (default 5s). A
 	// builder that misses renewals for a full TTL is presumed dead.
@@ -117,26 +105,9 @@ type Config struct {
 	// (default TTL/10, clamped to [10ms, 500ms]).
 	Poll time.Duration
 
-	// FetchTimeout bounds one peer cache-fill attempt (default 2s).
-	FetchTimeout time.Duration
-
-	// Retries bounds peer-fill backoff rounds (default 3).
-	Retries int
-
-	// BackoffBase/BackoffMax shape the jittered exponential backoff
-	// between peer rounds (defaults 25ms / 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// LocalCap bounds the tier-1 payload LRU (default 64 entries).
-	LocalCap int
-
 	// Rec receives replica.* metrics and, for traced requests, the
-	// lease-wait and peer-fill spans. nil allocates a fresh recorder.
+	// lease-wait spans. nil allocates a fresh recorder.
 	Rec *obs.Recorder
-
-	// Client overrides the peer HTTP client (tests inject transports).
-	Client *http.Client
 }
 
 // Coordinator is one replica's view of the fleet-wide cache. Safe for
@@ -145,42 +116,25 @@ type Coordinator struct {
 	id     string
 	store  *ckpt.Store
 	leases *leaseDir // nil when the store is disabled
-	peerc  *peerSet
 	rec    *obs.Recorder
 
 	heartbeatEvery time.Duration
 	poll           time.Duration
-	retries        int
-
-	local *byteLRU
 
 	dmu      sync.Mutex
 	degraded map[string]string
 	degGauge *obs.Gauge
 
-	peerMet peerMetrics
-
-	localHit      *obs.Counter
 	storeHit      *obs.Counter
-	peerHit       *obs.Counter
 	buildDone     *obs.Counter
 	buildUnleased *obs.Counter
 	buildDup      *obs.Counter
-	served        *obs.Counter
 	leaseAcquired *obs.Counter
 	leaseTakeover *obs.Counter
 	leaseRenewed  *obs.Counter
 	leaseLost     *obs.Counter
 	leaseErr      *obs.Counter
 	leaseWaits    *obs.Counter
-}
-
-// peerMetrics groups the counters the peerSet reports into.
-type peerMetrics struct {
-	attempts *obs.Counter
-	hits     *obs.Counter
-	misses   *obs.Counter
-	errs     *obs.Counter
 }
 
 // New assembles a Coordinator from cfg, applying defaults.
@@ -200,86 +154,26 @@ func New(cfg Config) *Coordinator {
 	}
 	poll := cfg.Poll
 	if poll <= 0 {
-		poll = ttl / 10
-		if poll < 10*time.Millisecond {
-			poll = 10 * time.Millisecond
-		}
-		if poll > 500*time.Millisecond {
-			poll = 500 * time.Millisecond
-		}
-	}
-	fetchTimeout := cfg.FetchTimeout
-	if fetchTimeout <= 0 {
-		fetchTimeout = 2 * time.Second
-	}
-	retries := cfg.Retries
-	if retries <= 0 {
-		retries = 3
-	}
-	base := cfg.BackoffBase
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	max := cfg.BackoffMax
-	if max <= 0 {
-		max = time.Second
-	}
-	localCap := cfg.LocalCap
-	if localCap <= 0 {
-		localCap = 64
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	peers := make([]string, 0, len(cfg.Peers))
-	for _, p := range cfg.Peers {
-		if p == "" {
-			continue
-		}
-		if len(p) < 7 || (p[:7] != "http://" && (len(p) < 8 || p[:8] != "https://")) {
-			p = "http://" + p
-		}
-		peers = append(peers, p)
+		poll = min(max(ttl/10, 10*time.Millisecond), 500*time.Millisecond)
 	}
 	c := &Coordinator{
-		id:    cfg.ID,
-		store: cfg.Store,
-		rec:   rec,
-		peerc: &peerSet{
-			peers:        peers,
-			client:       client,
-			fetchTimeout: fetchTimeout,
-			retries:      retries,
-			backoffBase:  base,
-			backoffMax:   max,
-			jitter:       rng.New(ckptSeed(cfg.ID)).Child("replica.backoff"),
-		},
+		id:             cfg.ID,
+		store:          cfg.Store,
+		rec:            rec,
 		heartbeatEvery: hb,
 		poll:           poll,
-		retries:        retries,
-		local:          newByteLRU(localCap),
 		degraded:       make(map[string]string),
 		degGauge:       reg.Gauge("replica.degraded"),
-		peerMet: peerMetrics{
-			attempts: reg.Counter("replica.peer.attempt"),
-			hits:     reg.Counter("replica.peer.hit"),
-			misses:   reg.Counter("replica.peer.miss"),
-			errs:     reg.Counter("replica.peer.err"),
-		},
-		localHit:      reg.Counter("replica.local.hit"),
-		storeHit:      reg.Counter("replica.store.hit"),
-		peerHit:       reg.Counter("replica.peer.fill"),
-		buildDone:     reg.Counter("replica.build.done"),
-		buildUnleased: reg.Counter("replica.build.unleased"),
-		buildDup:      reg.Counter("replica.build.duplicate"),
-		served:        reg.Counter("replica.cache.served"),
-		leaseAcquired: reg.Counter("replica.lease.acquired"),
-		leaseTakeover: reg.Counter("replica.lease.takeover"),
-		leaseRenewed:  reg.Counter("replica.lease.renewed"),
-		leaseLost:     reg.Counter("replica.lease.lost"),
-		leaseErr:      reg.Counter("replica.lease.err"),
-		leaseWaits:    reg.Counter("replica.lease.wait"),
+		storeHit:       reg.Counter("replica.store.hit"),
+		buildDone:      reg.Counter("replica.build.done"),
+		buildUnleased:  reg.Counter("replica.build.unleased"),
+		buildDup:       reg.Counter("replica.build.duplicate"),
+		leaseAcquired:  reg.Counter("replica.lease.acquired"),
+		leaseTakeover:  reg.Counter("replica.lease.takeover"),
+		leaseRenewed:   reg.Counter("replica.lease.renewed"),
+		leaseLost:      reg.Counter("replica.lease.lost"),
+		leaseErr:       reg.Counter("replica.lease.err"),
+		leaseWaits:     reg.Counter("replica.lease.wait"),
 	}
 	if cfg.Store.Enabled() {
 		c.leases = &leaseDir{dir: cfg.Store.Dir(), owner: cfg.ID, ttl: ttl, now: time.Now}
@@ -288,22 +182,8 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// ckptSeed derives a stable jitter seed from the replica ID, so two
-// replicas never share a backoff schedule but each replays its own.
-func ckptSeed(id string) uint64 {
-	var h uint64 = 1469598103934665603 // FNV-1a
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // ID returns the replica's name.
 func (c *Coordinator) ID() string { return c.id }
-
-// Peers returns the configured sibling base URLs.
-func (c *Coordinator) Peers() []string { return c.peerc.peers }
 
 // Degraded returns the active degradation reasons, sorted; empty means
 // every subsystem the coordinator depends on is answering.
@@ -337,47 +217,19 @@ func (c *Coordinator) clearDegraded(subsystem string) {
 	}
 }
 
-// ServeLocal answers a sibling's cache-fill request from this replica's
-// own tiers — never by building and never by asking peers, so fills
-// cannot recurse across the fleet. The returned payload is the exact
-// checkpoint encoding.
-func (c *Coordinator) ServeLocal(key string) ([]byte, bool) {
-	if payload, ok := c.local.get(key); ok {
-		c.served.Add(1)
-		return payload, true
-	}
-	if payload, ok, _ := c.store.LoadRaw(key); ok {
-		c.local.put(key, payload)
-		c.served.Add(1)
-		return payload, true
-	}
-	return nil, false
-}
-
-// Do returns the value for the content-addressed key, trying tier 1,
-// tier 2, peer fill and finally building via build under a distributed
-// lease. newV allocates the value that store/peer payloads unmarshal
-// into; the build path returns build's value directly. ctx bounds the
-// whole call (waiting included) and is handed to build.
+// Do returns the value for the content-addressed key: read from the
+// shared store, or else claimed, re-checked and built via build under a
+// distributed lease, or else waited for while another replica builds
+// it. newV allocates the value that store payloads unmarshal into; the
+// build path returns build's value directly. ctx bounds the whole call
+// (waiting included) and is handed to build.
 func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
-	if payload, ok := c.local.get(key); ok {
-		c.localHit.Add(1)
-		if v, err := unmarshalInto(newV, payload); err == nil {
-			return v, SourceLocal, nil
-		}
-		// A corrupt tier-1 entry (impossible short of memory damage)
-		// falls through to the authoritative tiers.
+	if c.leases == nil {
+		// No shared directory: no cache to read, nowhere to put a lease.
+		return c.buildLocal(ctx, key, build)
 	}
 	if v, ok := c.loadStore(key, newV); ok {
 		return v, SourceStore, nil
-	}
-	if c.leases == nil {
-		// No shared directory, no distributed singleflight: probe the
-		// peers once (with retries for transient failures), then build.
-		if v, ok := c.peerFill(ctx, key, newV); ok {
-			return v, SourcePeer, nil
-		}
-		return c.buildLocal(ctx, key, newV, build, SourceBuildUnleased)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -390,7 +242,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 			// accept the duplicate work, flag the degradation.
 			c.leaseErr.Add(1)
 			c.setDegraded("lease", err)
-			return c.buildLocal(ctx, key, newV, build, SourceBuildUnleased)
+			return c.buildLocal(ctx, key, build)
 		}
 		c.clearDegraded("lease")
 		if takeover {
@@ -405,77 +257,102 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 				c.leases.release(key, cur, true)
 				return v, SourceStore, nil
 			}
-			return c.buildLeased(ctx, key, cur, newV, build)
+			v, lost, err := c.buildLeased(ctx, key, cur, build)
+			if !lost {
+				if err != nil {
+					return nil, SourceNone, err
+				}
+				return v, SourceBuild, nil
+			}
+			// Superseded mid-build: the build was cancelled or discarded,
+			// not published; loop to wait on the new holder.
+			continue
 		}
-		v, src, done, err := c.waitForHolder(ctx, key, cur, newV)
+		v, done, err := c.waitForHolder(ctx, key, newV)
+		if err != nil {
+			return nil, SourceNone, err
+		}
 		if done {
-			return v, src, err
+			return v, SourceStore, nil
 		}
 		// The holder released without publishing a result, or its lease
 		// expired: loop and race for the claim.
 	}
 }
 
-// loadStore is the tier-2 read: validated payload from the shared
-// store, promoted into tier 1.
+// loadStore reads and decodes key's validated payload from the shared
+// store.
 func (c *Coordinator) loadStore(key string, newV func() any) (any, bool) {
 	payload, ok, _ := c.store.LoadRaw(key)
 	if !ok {
 		return nil, false
 	}
-	v, err := unmarshalInto(newV, payload)
-	if err != nil {
+	v := newV()
+	if err := json.Unmarshal(payload, v); err != nil {
 		return nil, false
 	}
-	c.local.put(key, payload)
 	c.storeHit.Add(1)
 	return v, true
 }
 
 // buildLeased runs build while heartbeating the held lease, publishes
-// the result to both tiers, and releases.
-func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRecord, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
-	stop := c.startHeartbeat(ctx, key, mine)
-	v, err := build(ctx)
+// the result to the store, and releases. lost=true means the lease was
+// superseded — a renewal found it while the build ran, and cancelled
+// the build with ErrLeaseLost, or the final check after the build found
+// it — and the result was not published: the new holder owns the key,
+// and publishing too would be a duplicate build.
+func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRecord, build func(context.Context) (any, error)) (v any, lost bool, err error) {
+	bctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	stop := c.startHeartbeat(bctx, key, mine, cancel)
+	v, err = build(bctx)
 	stop()
+	if errors.Is(context.Cause(bctx), ErrLeaseLost) {
+		return nil, true, nil
+	}
 	if err != nil {
 		// Give the next claimant a clean shot instead of making it
 		// wait out the TTL.
 		c.leases.release(key, mine, false)
-		return nil, SourceNone, err
+		return nil, false, err
+	}
+	// The build may have finished between a takeover and the next
+	// heartbeat tick, which would have caught it. Check once more
+	// before publishing. An unreadable directory publishes anyway:
+	// the store write is content-addressed and idempotent.
+	if superseded, _ := c.leases.superseded(key, mine); superseded {
+		c.leaseLost.Add(1)
+		return nil, true, nil
 	}
 	c.buildDone.Add(1)
 	stored := c.publish(key, v)
 	c.leases.release(key, mine, stored)
-	return v, SourceBuild, nil
+	return v, false, nil
 }
 
 // buildLocal is the uncoordinated fallback: build, publish, count the
-// degraded source.
-func (c *Coordinator) buildLocal(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error), src Source) (any, Source, error) {
+// unleased build.
+func (c *Coordinator) buildLocal(ctx context.Context, key string, build func(context.Context) (any, error)) (any, Source, error) {
 	v, err := build(ctx)
 	if err != nil {
 		return nil, SourceNone, err
 	}
 	c.buildDone.Add(1)
-	if src == SourceBuildUnleased {
-		c.buildUnleased.Add(1)
-	}
+	c.buildUnleased.Add(1)
 	c.publish(key, v)
-	return v, src, nil
+	return v, SourceBuildUnleased, nil
 }
 
-// publish installs a finished value in tier 1 and, best-effort, tier 2,
-// and reports whether tier 2 now holds it. A store write failure marks
-// the coordinator degraded — the artifact still serves from the local
-// tier; a duplicate store file (another replica finished first) counts
-// the redundant work.
+// publish writes a finished value to the store, best-effort, and
+// reports whether the store now holds it. A store write failure marks
+// the coordinator degraded — the caller still serves the value; a
+// duplicate store file (another replica finished first) counts the
+// redundant work.
 func (c *Coordinator) publish(key string, v any) (stored bool) {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return false // unmarshalable values are served but not cacheable
 	}
-	c.local.put(key, payload)
 	dup, err := c.store.SaveRaw(key, payload)
 	switch {
 	case err != nil:
@@ -490,11 +367,11 @@ func (c *Coordinator) publish(key string, v any) (stored bool) {
 }
 
 // startHeartbeat renews key's lease every heartbeat period until
-// stopped. A failed renewal ends the heartbeat: if the lease was lost
-// the build has already been taken over (finishing it stays harmless —
-// identical bytes); if the directory failed the lease will expire and
-// some replica, possibly this one, will reclaim the key.
-func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine leaseRecord) (stop func()) {
+// stopped. A renewal that reports ErrLeaseLost cancels the build via
+// lost, with ErrLeaseLost as the cause. Any other failed renewal ends
+// the heartbeat and leaves the build running: the lease will expire
+// and some replica, possibly this one, will reclaim the key.
+func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine leaseRecord, lost context.CancelCauseFunc) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -514,6 +391,7 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine lease
 				if err != nil {
 					if errors.Is(err, ErrLeaseLost) {
 						c.leaseLost.Add(1)
+						lost(ErrLeaseLost)
 					} else {
 						c.leaseErr.Add(1)
 					}
@@ -529,94 +407,35 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine lease
 	}
 }
 
-// waitForHolder parks this replica while another builds key: polling
-// the shared store for the published result, running bounded peer-fill
-// rounds with jittered backoff in between, and watching the lease.
+// waitForHolder parks this replica while another builds key, polling
+// the shared store for the published result and watching the lease.
 // done=false means the lease vanished or expired and the caller should
 // race to claim the key.
-func (c *Coordinator) waitForHolder(ctx context.Context, key string, cur leaseRecord, newV func() any) (v any, src Source, done bool, err error) {
+func (c *Coordinator) waitForHolder(ctx context.Context, key string, newV func() any) (v any, done bool, err error) {
 	c.leaseWaits.Add(1)
-	var sp *obs.Span
 	if _, traced := obs.SpanFromContext(ctx); traced {
+		var sp *obs.Span
 		sp, ctx = c.rec.StartSpan(ctx, "replica:wait:"+shortKey(key), obs.CatReplica)
 		defer sp.End()
 	}
-	round := 0
-	nextPeer := time.Now() // first peer round runs immediately
 	ticker := time.NewTicker(c.poll)
 	defer ticker.Stop()
 	for {
 		if v, ok := c.loadStore(key, newV); ok {
-			return v, SourceStore, true, nil
+			return v, true, nil
 		}
+		// An unreadable lease directory also returns: the outer loop's
+		// acquire then degrades to a local build.
 		rec, ok, rerr := c.leases.read(key)
-		now := time.Now()
-		switch {
-		case rerr != nil:
-			// Unreadable lease directory: let the outer loop hit the
-			// acquire path, which degrades to a local build.
-			return nil, SourceNone, false, nil
-		case !ok, rec.expired(now):
-			return nil, SourceNone, false, nil
-		case rec.gen != cur.gen:
-			// A takeover happened under us; keep waiting on the new
-			// holder with a fresh peer budget.
-			cur, round = rec, 0
-		}
-		if round < c.retries && !now.Before(nextPeer) {
-			res := c.peerc.round(ctx, key, &c.peerMet)
-			if res.ok {
-				c.local.put(key, res.payload)
-				if v, uerr := unmarshalInto(newV, res.payload); uerr == nil {
-					c.peerHit.Add(1)
-					return v, SourcePeer, true, nil
-				}
-			}
-			round++
-			nextPeer = time.Now().Add(c.peerc.backoff(round))
+		if rerr != nil || !ok || rec.expired(c.leases.now()) {
+			return nil, false, nil
 		}
 		select {
 		case <-ctx.Done():
-			return nil, SourceNone, true, context.Cause(ctx)
+			return nil, true, context.Cause(ctx)
 		case <-ticker.C:
 		}
 	}
-}
-
-// peerFill is the storeless cache-fill: bounded rounds over all peers
-// with jittered backoff, stopping early when every peer definitively
-// misses (no shared store means a miss everywhere is final — build).
-func (c *Coordinator) peerFill(ctx context.Context, key string, newV func() any) (any, bool) {
-	var sp *obs.Span
-	if _, traced := obs.SpanFromContext(ctx); traced {
-		sp, ctx = c.rec.StartSpan(ctx, "replica:peer:"+shortKey(key), obs.CatReplica)
-		defer sp.End()
-	}
-	for round := 1; round <= c.retries; round++ {
-		res := c.peerc.round(ctx, key, &c.peerMet)
-		if res.ok {
-			c.local.put(key, res.payload)
-			if v, err := unmarshalInto(newV, res.payload); err == nil {
-				c.peerHit.Add(1)
-				return v, true
-			}
-		}
-		if !res.transient || ctx.Err() != nil {
-			return nil, false
-		}
-		if round < c.retries {
-			sleep(ctx, c.peerc.backoff(round))
-		}
-	}
-	return nil, false
-}
-
-func unmarshalInto(newV func() any, payload []byte) (any, error) {
-	v := newV()
-	if err := json.Unmarshal(payload, v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // shortKey abbreviates a 64-hex content address for span names.
@@ -625,57 +444,4 @@ func shortKey(key string) string {
 		return key[:12]
 	}
 	return key
-}
-
-// byteLRU is the tier-1 cache: a hard-capped, mutex-guarded LRU of
-// checkpoint payloads keyed by content address.
-type byteLRU struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[string]*list.Element
-}
-
-type byteItem struct {
-	key     string
-	payload []byte
-}
-
-func newByteLRU(cap int) *byteLRU {
-	if cap < 1 {
-		cap = 1
-	}
-	return &byteLRU{cap: cap, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func (l *byteLRU) get(key string) ([]byte, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.m[key]; ok {
-		l.ll.MoveToFront(el)
-		return el.Value.(*byteItem).payload, true
-	}
-	return nil, false
-}
-
-func (l *byteLRU) put(key string, payload []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.m[key]; ok {
-		el.Value.(*byteItem).payload = payload
-		l.ll.MoveToFront(el)
-		return
-	}
-	l.m[key] = l.ll.PushFront(&byteItem{key: key, payload: payload})
-	for l.ll.Len() > l.cap {
-		back := l.ll.Back()
-		l.ll.Remove(back)
-		delete(l.m, back.Value.(*byteItem).key)
-	}
-}
-
-func (l *byteLRU) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ll.Len()
 }

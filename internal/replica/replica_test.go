@@ -3,9 +3,8 @@ package replica
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +33,7 @@ func buildArtifact(name string, calls *atomic.Int64) func(context.Context) (any,
 }
 
 // testCoordinator opens a coordinator over dir with fast test timings.
-func testCoordinator(t *testing.T, dir, id string, peers ...string) *Coordinator {
+func testCoordinator(t *testing.T, dir, id string) *Coordinator {
 	t.Helper()
 	var store *ckpt.Store
 	if dir != "" {
@@ -45,16 +44,11 @@ func testCoordinator(t *testing.T, dir, id string, peers ...string) *Coordinator
 		store = s
 	}
 	return New(Config{
-		ID:           id,
-		Store:        store,
-		Peers:        peers,
-		TTL:          150 * time.Millisecond,
-		Heartbeat:    40 * time.Millisecond,
-		Poll:         10 * time.Millisecond,
-		FetchTimeout: time.Second,
-		Retries:      2,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
+		ID:        id,
+		Store:     store,
+		TTL:       150 * time.Millisecond,
+		Heartbeat: 40 * time.Millisecond,
+		Poll:      10 * time.Millisecond,
 	})
 }
 
@@ -67,6 +61,8 @@ func counter(c *Coordinator, name string) int64 {
 	return 0
 }
 
+// TestDoBuildsOnceThenServesFromTiers: the first Do builds under a
+// lease, later calls on the same or a sibling replica read the store.
 func TestDoBuildsOnceThenServesFromTiers(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
@@ -81,10 +77,10 @@ func TestDoBuildsOnceThenServesFromTiers(t *testing.T) {
 		t.Fatalf("value = %q", got)
 	}
 	_, src, err = a.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
-	if err != nil || src != SourceLocal {
+	if err != nil || src != SourceStore {
 		t.Fatalf("second Do: src=%v err=%v", src, err)
 	}
-	// A fresh replica over the same directory hits tier 2.
+	// A fresh replica over the same directory reads the store too.
 	b := testCoordinator(t, dir, "r1")
 	_, src, err = b.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
 	if err != nil || src != SourceStore {
@@ -202,9 +198,9 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	if string(gotB) != string(want) {
 		t.Fatalf("taken-over build = %q, want %q", gotB, want)
 	}
-	served, ok := b.ServeLocal(key)
-	if !ok || string(served) != string(want) {
-		t.Fatalf("ServeLocal = %q ok=%v, want %q", served, ok, want)
+	stored, ok, err := b.store.LoadRaw(key)
+	if err != nil || !ok || string(stored) != string(want) {
+		t.Fatalf("store LoadRaw = %q ok=%v err=%v, want %q", stored, ok, err, want)
 	}
 	// The dead leader never published, so no duplicate build landed.
 	if got := counter(a, "replica.build.duplicate") + counter(b, "replica.build.duplicate"); got != 0 {
@@ -212,96 +208,177 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestPeerFillStorelessReplica(t *testing.T) {
+// TestLeaseLostCancelsSlowHolder enforces that a superseded holder
+// never publishes.
+//
+// GIVEN replica A building a key under its lease, and replica B whose
+// clock runs more than one TTL ahead, so A's live lease reads expired
+// to B,
+// WHEN B takes the key over and builds it while A's build still runs,
+// THEN A's next heartbeat cancels A's build with ErrLeaseLost, A's Do
+// returns B's bytes from the store, exactly one build completes, and
+// replica.build.duplicate stays 0.
+func TestLeaseLostCancelsSlowHolder(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
-	key := ckpt.Key("replica", "fill")
-	if _, _, err := a.Do(context.Background(), key, newArtifact, buildArtifact("fill", nil)); err != nil {
-		t.Fatal(err)
+	b := testCoordinator(t, dir, "r1")
+	b.leases.now = func() time.Time { return time.Now().Add(2 * b.leases.ttl) }
+	key := ckpt.Key("replica", "slowholder")
+
+	var aBuilds atomic.Int64
+	var aCause error
+	building, aCancelled := make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		v   any
+		src Source
+		err error
 	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		payload, ok := a.ServeLocal(r.URL.Path[len("/v1/cache/"):])
-		if !ok {
-			http.NotFound(w, r)
-			return
+	aDone := make(chan outcome, 1)
+	go func() {
+		v, src, err := a.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+			if aBuilds.Add(1) > 1 {
+				return nil, errors.New("A claimed the key a second time")
+			}
+			close(building)
+			<-ctx.Done() // slow: still building when superseded
+			aCause = context.Cause(ctx)
+			close(aCancelled)
+			return nil, ctx.Err()
+		})
+		aDone <- outcome{v, src, err}
+	}()
+	<-building
+
+	var calls atomic.Int64
+	vB, src, err := b.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+		// Hold B's generation until A's heartbeat has seen it.
+		select {
+		case <-aCancelled:
+		case <-time.After(5 * time.Second):
 		}
-		w.Write(payload)
-	}))
-	defer srv.Close()
-
-	b := testCoordinator(t, "", "r1", srv.URL)
-	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), key, newArtifact, buildArtifact("fill", &calls))
-	if err != nil || src != SourcePeer {
-		t.Fatalf("b.Do: src=%v err=%v", src, err)
+		calls.Add(1)
+		return &artifact{Name: "slowholder", Vals: []float64{1, 2.5, 3}}, nil
+	})
+	if err != nil || src != SourceBuild {
+		t.Fatalf("b.Do: src=%v err=%v, want a build after takeover", src, err)
 	}
-	if calls.Load() != 0 {
-		t.Fatal("peer fill still ran the build")
+	var resA outcome
+	select {
+	case resA = <-aDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("A's Do never returned")
 	}
-	want, _ := a.ServeLocal(key)
-	got, ok := b.ServeLocal(key)
-	if !ok || string(got) != string(want) {
-		t.Fatalf("peer-filled payload %q != origin payload %q", got, want)
+	if !errors.Is(aCause, ErrLeaseLost) {
+		t.Fatalf("A's build cancelled with cause %v, want ErrLeaseLost", aCause)
 	}
-	if v.(*artifact).Name != "fill" {
-		t.Fatalf("value = %+v", v)
+	if resA.err != nil || resA.src != SourceStore {
+		t.Fatalf("a.Do: src=%v err=%v, want B's bytes from the store", resA.src, resA.err)
 	}
-}
-
-func TestPeerDefinitiveMissBuildsImmediately(t *testing.T) {
-	var reqs atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Add(1)
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-	b := testCoordinator(t, "", "r1", srv.URL)
-	var calls atomic.Int64
-	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "miss"), newArtifact, buildArtifact("miss", &calls))
-	if err != nil || src != SourceBuildUnleased {
-		t.Fatalf("Do: src=%v err=%v", src, err)
+	gotA, _ := json.Marshal(resA.v)
+	gotB, _ := json.Marshal(vB)
+	if string(gotA) != string(gotB) {
+		t.Fatalf("A returned %q, B built %q", gotA, gotB)
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("build calls = %d, want 1", calls.Load())
+	if n := calls.Load() + counter(a, "replica.build.done"); n != 1 || counter(b, "replica.build.done") != 1 {
+		t.Fatalf("completed builds: B %d, A %d; want exactly B's one", calls.Load(), counter(a, "replica.build.done"))
 	}
-	// An all-404 round is final: exactly one request, no backoff rounds.
-	if reqs.Load() != 1 {
-		t.Fatalf("peer requests = %d, want 1 (404 is definitive)", reqs.Load())
+	if got := counter(a, "replica.build.duplicate") + counter(b, "replica.build.duplicate"); got != 0 {
+		t.Fatalf("replica.build.duplicate = %d, want 0", got)
+	}
+	if got := counter(a, "replica.lease.lost"); got != 1 {
+		t.Fatalf("A's replica.lease.lost = %d, want 1", got)
 	}
 }
 
-func TestPeerTransientErrorsRetryThenBuild(t *testing.T) {
-	var reqs atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Add(1)
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	b := testCoordinator(t, "", "r1", srv.URL)
-	var calls atomic.Int64
-	_, src, err := b.Do(context.Background(), ckpt.Key("replica", "flaky"), newArtifact, buildArtifact("flaky", &calls))
-	if err != nil || src != SourceBuildUnleased {
-		t.Fatalf("Do: src=%v err=%v", src, err)
+// TestLeaseLostBetweenTicksNeverPublishes enforces that a holder whose
+// build finishes after a takeover, but before any heartbeat tick could
+// notice it, still never publishes.
+//
+// GIVEN replica A building a key under its lease with a heartbeat that
+// never ticks during the test, and replica B whose clock runs more
+// than one TTL ahead,
+// WHEN B takes the key over and A's build then returns successfully,
+// THEN A's final pre-publish check finds the lease superseded, A's Do
+// returns B's bytes from the store, only B's build is counted, and
+// replica.build.duplicate stays 0.
+func TestLeaseLostBetweenTicksNeverPublishes(t *testing.T) {
+	dir := t.TempDir()
+	a := testCoordinator(t, dir, "r0")
+	a.heartbeatEvery = time.Hour
+	b := testCoordinator(t, dir, "r1")
+	b.leases.now = func() time.Time { return time.Now().Add(2 * b.leases.ttl) }
+	key := ckpt.Key("replica", "betweenticks")
+
+	building, bClaimed, aReturned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		v   any
+		src Source
+		err error
 	}
-	if reqs.Load() != 2 { // Retries=2 rounds x 1 peer
-		t.Fatalf("peer requests = %d, want 2 (bounded retries)", reqs.Load())
+	aDone := make(chan outcome, 1)
+	var aBuilds atomic.Int64
+	go func() {
+		v, src, err := a.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+			if aBuilds.Add(1) > 1 {
+				return nil, errors.New("A claimed the key a second time")
+			}
+			close(building)
+			<-bClaimed
+			defer close(aReturned)
+			return &artifact{Name: "stale", Vals: []float64{0}}, ctx.Err()
+		})
+		aDone <- outcome{v, src, err}
+	}()
+	<-building
+
+	vB, src, err := b.Do(context.Background(), key, newArtifact, func(context.Context) (any, error) {
+		close(bClaimed)
+		<-aReturned // A's build is done before B publishes
+		return &artifact{Name: "betweenticks", Vals: []float64{1, 2.5, 3}}, nil
+	})
+	if err != nil || src != SourceBuild {
+		t.Fatalf("b.Do: src=%v err=%v, want a build after takeover", src, err)
 	}
-	if counter(b, "replica.peer.err") != 2 {
-		t.Fatalf("replica.peer.err = %d, want 2", counter(b, "replica.peer.err"))
+	var resA outcome
+	select {
+	case resA = <-aDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("A's Do never returned")
+	}
+	if resA.err != nil || resA.src != SourceStore {
+		t.Fatalf("a.Do: src=%v err=%v, want B's bytes from the store", resA.src, resA.err)
+	}
+	gotA, _ := json.Marshal(resA.v)
+	gotB, _ := json.Marshal(vB)
+	if string(gotA) != string(gotB) {
+		t.Fatalf("A returned %q, B built %q", gotA, gotB)
+	}
+	if got := counter(a, "replica.lease.renewed"); got != 0 {
+		t.Fatalf("A's heartbeat ticked %d times; the test needs none", got)
+	}
+	if da, db := counter(a, "replica.build.done"), counter(b, "replica.build.done"); da != 0 || db != 1 {
+		t.Fatalf("replica.build.done: A %d, B %d; want only B's one", da, db)
+	}
+	if got := counter(a, "replica.build.duplicate") + counter(b, "replica.build.duplicate"); got != 0 {
+		t.Fatalf("replica.build.duplicate = %d, want 0", got)
+	}
+	if got := counter(a, "replica.lease.lost"); got != 1 {
+		t.Fatalf("A's replica.lease.lost = %d, want 1", got)
 	}
 }
 
-func TestUnreachablePeerDegradesToLocalBuild(t *testing.T) {
-	// A peer address nobody listens on: connection refused, retried,
-	// then built locally. The request must still succeed.
-	b := testCoordinator(t, "", "r1", "127.0.0.1:1")
+// TestStorelessDoBuildsImmediately: a coordinator without a store has
+// nothing to read and nowhere to put a lease, so Do builds once, at
+// once, and reports the build as unleased.
+func TestStorelessDoBuildsImmediately(t *testing.T) {
+	c := testCoordinator(t, "", "r0")
 	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), ckpt.Key("replica", "refused"), newArtifact, buildArtifact("refused", &calls))
-	if err != nil || src != SourceBuildUnleased {
-		t.Fatalf("Do: src=%v err=%v", src, err)
+	v, src, err := c.Do(context.Background(), ckpt.Key("replica", "storeless"), newArtifact, buildArtifact("storeless", &calls))
+	if err != nil || src != SourceBuildUnleased || v.(*artifact).Name != "storeless" {
+		t.Fatalf("Do: v=%+v src=%v err=%v, want an unleased build", v, src, err)
 	}
-	if v.(*artifact).Name != "refused" || calls.Load() != 1 {
-		t.Fatalf("v=%+v calls=%d", v, calls.Load())
+	if calls.Load() != 1 || counter(c, "replica.build.unleased") != 1 {
+		t.Fatalf("builds = %d, replica.build.unleased = %d; want 1 and 1", calls.Load(), counter(c, "replica.build.unleased"))
 	}
 }
 
@@ -322,9 +399,11 @@ func TestUnwritableStoreDegradesButServes(t *testing.T) {
 	if len(deg) != 1 || deg[0][:6] != "store:" {
 		t.Fatalf("Degraded() = %v, want one store reason", deg)
 	}
-	// The local tier still serves the artifact.
-	if _, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil)); err != nil || src != SourceLocal {
-		t.Fatalf("second Do: src=%v err=%v", src, err)
+	// Nothing reached the store, so the next Do rebuilds and still
+	// serves (serve's artifact cache keeps the first result in process).
+	v, src, err = a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil))
+	if err != nil || src != SourceBuild || v.(*artifact).Name != "readonly" {
+		t.Fatalf("second Do: v=%+v src=%v err=%v, want a successful rebuild", v, src, err)
 	}
 }
 
@@ -502,31 +581,23 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 			}
 		}
 	}
-	// Every replica can now serve every key's identical bytes locally.
+	// The store holds every key's clean serial bytes, and a fresh Do on
+	// every replica reads them back without building.
 	for _, key := range keys {
 		want, _ := json.Marshal(&artifact{Name: key[:8], Vals: []float64{float64(len(key))}})
+		stored, ok, err := reps[0].store.LoadRaw(key)
+		if err != nil || !ok || string(stored) != string(want) {
+			t.Fatalf("store LoadRaw(%s) = %q ok=%v err=%v, want %q", key[:8], stored, ok, err, want)
+		}
 		for i, r := range reps {
-			got, ok := r.ServeLocal(key)
-			if !ok || string(got) != string(want) {
-				t.Fatalf("r%d.ServeLocal(%s): ok=%v got=%q want=%q", i, key[:8], ok, got, want)
+			v, src, err := r.Do(context.Background(), key, newArtifact, buildFor(key, &effective))
+			got, _ := json.Marshal(v)
+			if err != nil || src != SourceStore || string(got) != string(want) {
+				t.Fatalf("r%d.Do(%s) after convergence: src=%v err=%v got=%q, want store bytes %q", i, key[:8], src, err, got, want)
 			}
 		}
 	}
-}
-
-func TestByteLRUEvictsOldest(t *testing.T) {
-	l := newByteLRU(2)
-	l.put("a", []byte("1"))
-	l.put("b", []byte("2"))
-	l.get("a") // refresh a; b is now the eviction candidate
-	l.put("c", []byte("3"))
-	if _, ok := l.get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := l.get("a"); !ok {
-		t.Fatal("a was evicted despite being fresh")
-	}
-	if l.len() != 2 {
-		t.Fatalf("len = %d, want 2", l.len())
+	if n := effective.Load(); n != int64(len(keys)) {
+		t.Fatalf("fresh Do calls ran %d builds, want none", n-int64(len(keys)))
 	}
 }

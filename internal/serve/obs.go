@@ -47,8 +47,6 @@ func endpointOf(path string) string {
 		}
 	case path == "/v1/predict":
 		return "predict"
-	case strings.HasPrefix(path, "/v1/cache/"):
-		return "cache"
 	default:
 		return "other"
 	}
@@ -57,12 +55,10 @@ func endpointOf(path string) string {
 // drainExempt reports whether an endpoint keeps serving during a
 // graceful drain. Telemetry must outlive admission: the final scrape
 // and trace pull of a terminating replica are exactly the ones that
-// explain why it terminated. Peer cache fills stay up too — a draining
-// replica's warm cache is what its siblings copy out before it goes,
-// and fills never trigger builds. /healthz is deliberately NOT exempt —
-// it reports draining so load balancers stop routing here.
+// explain why it terminated. /healthz is deliberately NOT exempt — it
+// reports draining so load balancers stop routing here.
 func drainExempt(endpoint string) bool {
-	return endpoint == "metrics" || endpoint == "debug_trace" || endpoint == "cache"
+	return endpoint == "metrics" || endpoint == "debug_trace"
 }
 
 // statusWriter captures the status code and body size flowing through

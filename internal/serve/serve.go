@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,11 +88,11 @@ type Config struct {
 	Store *ckpt.Store
 
 	// Replica, when set, routes every artifact build through the
-	// cross-replica coordinator: two-tier cache lookup, lease-based
-	// distributed singleflight, peer cache fill. The coordinator owns
-	// all checkpoint I/O on this path (builds run with a nil store), so
-	// Store should be the same store the coordinator wraps. nil keeps
-	// the single-replica behavior exactly.
+	// cross-replica coordinator: shared-store lookup and lease-based
+	// distributed singleflight. The coordinator owns all checkpoint I/O
+	// on this path (builds run with a nil store), so Store should be the
+	// same store the coordinator wraps. nil keeps the single-replica
+	// behavior exactly.
 	Replica *replica.Coordinator
 
 	// Rec receives cell/build/experiment instrumentation from every
@@ -274,7 +273,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/artifacts/{id}/tables/{table}", s.handleTable)
 	s.mux.HandleFunc("GET /v1/artifacts/{id}/series/{series}", s.handleSeries)
 	s.mux.HandleFunc("GET /v1/predict", s.handlePredict)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheFill)
 	return s
 }
 
@@ -469,9 +467,9 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*ar
 // runArtifact produces one artifact under the in-process singleflight
 // leader. Single-replica mode is core.RunOne against the local store.
 // With a coordinator, the build instead goes through the fleet-wide
-// path — local tier, shared store, peer cache fill, lease-guarded build
-// — and the coordinator owns all store I/O, so RunOne gets a nil store:
-// exactly one layer writes checkpoints.
+// path — shared store, then lease-guarded build — and the coordinator
+// owns all store I/O, so RunOne gets a nil store: exactly one layer
+// writes checkpoints.
 func (s *Server) runArtifact(ctx context.Context, e *entry, exp core.Experiment) (*core.Result, error) {
 	if s.replica == nil {
 		return core.RunOne(ctx, e.cctx, exp, s.buildTimeout, s.store)
@@ -574,14 +572,13 @@ type healthStatus struct {
 
 	// Multi-replica fields, present only when a coordinator is wired.
 	Replica  string   `json:"replica,omitempty"`
-	Peers    int      `json:"peers,omitempty"`
 	Degraded []string `json:"degraded,omitempty"`
 }
 
 // handleHealthz reports liveness. A degraded replica — shared store
 // unwritable, lease directory unreachable — still answers 200 with
 // status "degraded" and the reasons: it is serving correctly from its
-// local tier, and flipping the health check would tell the load
+// artifact cache, and flipping the health check would tell the load
 // balancer to remove the one replica that still has the bytes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	keys, _ := s.store.Keys() // best-effort: an unreadable dir reads as 0 warm
@@ -594,7 +591,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.replica != nil {
 		hs.Replica = s.replica.ID()
-		hs.Peers = len(s.replica.Peers())
 		hs.Degraded = s.replica.Degraded()
 		if len(hs.Degraded) > 0 {
 			hs.Status = "degraded"
@@ -603,66 +599,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, hs)
 }
 
-// handleCacheFill serves GET /v1/cache/{key}: the raw checkpoint
-// payload for a content-addressed key, for sibling replicas filling
-// their caches. It answers only from this replica's own tiers — never
-// by building, never by asking peers — so fills cannot cascade. The
-// endpoint is drain-exempt: a terminating replica's warm cache is
-// exactly what its siblings want to copy out before it goes.
-func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
-	if s.replica == nil {
-		writeError(w, http.StatusNotFound, "not running in multi-replica mode")
-		return
-	}
-	key := r.PathValue("key")
-	if !validCacheKey(key) {
-		writeError(w, http.StatusBadRequest, "key: want a 64-char lowercase hex content address")
-		return
-	}
-	payload, ok := s.replica.ServeLocal(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "key not cached on this replica")
-		return
-	}
-	writeBytes(w, "application/json", payload)
-}
-
-// validCacheKey guards the cache-fill path parameter: checkpoint keys
-// are exactly 64 lowercase hex digits (SHA-256), and the key reaches
-// filepath.Join inside the store, so anything else is rejected before
-// it can traverse.
-func validCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// handleMetrics serves the registry snapshot. Prometheus text
-// exposition is the default; the PR5 JSONL format stays available via
-// ?format=jsonl or `Accept: application/x-ndjson` for existing
-// scrapers. Write errors mean the client went away mid-snapshot; there
-// is nobody left to report them to.
+// handleMetrics serves the registry snapshot as Prometheus text
+// exposition, the only format; any other ?format= is a 400. Write
+// errors mean the client went away mid-snapshot; there is nobody left
+// to report them to.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if format == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		format = "jsonl"
-	}
-	switch format {
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = s.reg.WriteJSONL(w)
+	switch format := r.URL.Query().Get("format"); format {
 	case "", "prom", "prometheus":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = obs.WritePrometheus(w, s.reg.Snapshot())
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("format: want prom or jsonl, got %q", format))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("format: want prom, got %q", format))
 	}
 }
 

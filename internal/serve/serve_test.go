@@ -474,8 +474,7 @@ func TestScenarioParamsAndErrors(t *testing.T) {
 		t.Errorf("experiments: status %d payload %s, want the stub listing", code, body)
 	}
 
-	// Default /metrics is Prometheus text; JSONL stays available by
-	// query param and by Accept header.
+	// /metrics is Prometheus text, the only format.
 	code, body = get(t, client, ts.URL+"/metrics")
 	if code != http.StatusOK || !strings.Contains(string(body), "serve_req_total") {
 		t.Errorf("metrics: status %d, body missing serve_req_total", code)
@@ -483,11 +482,9 @@ func TestScenarioParamsAndErrors(t *testing.T) {
 	if _, err := obs.ParsePrometheus(bytes.NewReader(body)); err != nil {
 		t.Errorf("metrics: default exposition does not parse: %v", err)
 	}
-	code, body = get(t, client, ts.URL+"/metrics?format=jsonl")
-	if code != http.StatusOK || !strings.Contains(string(body), `"serve.req.total"`) {
-		t.Errorf("metrics?format=jsonl: status %d, body missing serve.req.total", code)
-	}
-	if code, _ := get(t, client, ts.URL+"/metrics?format=xml"); code != http.StatusBadRequest {
-		t.Errorf("metrics?format=xml: status %d, want 400", code)
+	for _, f := range []string{"jsonl", "xml"} {
+		if code, _ := get(t, client, ts.URL+"/metrics?format="+f); code != http.StatusBadRequest {
+			t.Errorf("metrics?format=%s: status %d, want 400", f, code)
+		}
 	}
 }

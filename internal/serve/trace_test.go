@@ -403,12 +403,11 @@ func TestDebugTraceDuringDrain(t *testing.T) {
 	}
 	s.BeginDrain()
 	for path, want := range map[string]int{
-		"/metrics":              http.StatusOK,
-		"/metrics?format=jsonl": http.StatusOK,
-		"/debug/trace":          http.StatusOK,
-		"/healthz":              http.StatusServiceUnavailable,
-		"/v1/experiments":       http.StatusServiceUnavailable,
-		"/v1/artifacts/fig2":    http.StatusServiceUnavailable,
+		"/metrics":           http.StatusOK,
+		"/debug/trace":       http.StatusOK,
+		"/healthz":           http.StatusServiceUnavailable,
+		"/v1/experiments":    http.StatusServiceUnavailable,
+		"/v1/artifacts/fig2": http.StatusServiceUnavailable,
 	} {
 		if code, body := get(t, client, ts.URL+path); code != want {
 			t.Errorf("during drain GET %s = %d, want %d (%s)", path, code, want, body)

@@ -4,8 +4,8 @@
 # sure a single drain signal takes every replica down cleanly.
 #
 # Replica r2 runs with chaos injections armed (-chaos-prob 1): the
-# fleet-level contract is that error injections at the lease, peer-fetch
-# and store-write sites degrade a replica, never fail its requests.
+# fleet-level contract is that error injections at the lease and
+# store-write sites degrade a replica, never fail its requests.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -60,9 +60,9 @@ wait_addr() {
 echo "== booting 3 replicas (shared checkpoint dir, r2 chaos-armed) =="
 boot r0
 a0=$(wait_addr r0)
-boot r1 -peers "$a0"
+boot r1
 a1=$(wait_addr r1)
-boot r2 -peers "$a0,$a1" -chaos-seed 1 -chaos-prob 1
+boot r2 -chaos-seed 1 -chaos-prob 1
 a2=$(wait_addr r2)
 echo "replicas: r0=$a0 r1=$a1 r2=$a2"
 
