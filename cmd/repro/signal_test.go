@@ -37,24 +37,48 @@ func slowArgs(extra ...string) []string {
 	return append([]string{"-machines", "20", "-sim-days", "90", "-workload-days", "1", "-parallel", "1"}, extra...)
 }
 
+// helper is a running repro subprocess. A goroutine owns its Wait, so
+// the process is reaped exactly once whichever path the test takes.
+type helper struct {
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once Wait returns
+	err    error         // Wait's result; read only after exited is closed
+}
+
 // startHelper launches this test binary as a repro process running the
 // given CLI args and waits (up to 30s) for the scale banner on stdout —
 // proof that flag parsing succeeded and the signal handler is
-// installed, since the banner prints after it.
-func startHelper(t *testing.T, args []string) *exec.Cmd {
+// installed, since the banner prints after it. A cleanup kills and
+// reaps the process, so no failure path can leave it running.
+func startHelper(t *testing.T, args []string) *helper {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=TestSignalHelperProcess")
 	cmd.Env = append(os.Environ(), helperEnv+"="+strings.Join(args, "\n"))
-	stdout, err := cmd.StdoutPipe()
+	// An os.Pipe rather than StdoutPipe: Wait closes a StdoutPipe, so
+	// it could not run while the banner reader is still reading.
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout, cmd.Stderr = w, io.Discard
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		stdout.Close()
 		t.Fatal(err)
 	}
+	h := &helper{cmd: cmd, exited: make(chan struct{})}
+	go func() {
+		h.err = cmd.Wait()
+		close(h.exited)
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Kill() // fails harmlessly once the process has exited
+		<-h.exited
+	})
 	banner := make(chan string, 1)
 	go func() {
+		defer stdout.Close()
 		sc := bufio.NewScanner(stdout)
 		if sc.Scan() {
 			banner <- sc.Text()
@@ -65,36 +89,29 @@ func startHelper(t *testing.T, args []string) *exec.Cmd {
 	select {
 	case line, ok := <-banner:
 		if !ok || !strings.Contains(line, "reproduction scale") {
-			cmd.Process.Kill()
-			cmd.Wait()
 			t.Fatalf("unexpected first output line %q", line)
 		}
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
 		t.Fatal("no banner from helper within 30s")
 	}
-	return cmd
+	return h
 }
 
 // signalAndWait sends sig to the helper and returns its exit code,
 // failing the test if the process did not exit within 30s.
-func signalAndWait(t *testing.T, cmd *exec.Cmd, sig os.Signal) int {
+func signalAndWait(t *testing.T, h *helper, sig os.Signal) int {
 	t.Helper()
-	if err := cmd.Process.Signal(sig); err != nil {
+	if err := h.cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
 	select {
-	case err := <-done:
-		ee, ok := err.(*exec.ExitError)
+	case <-h.exited:
+		ee, ok := h.err.(*exec.ExitError)
 		if !ok {
-			t.Fatalf("helper exited cleanly (err=%v), want non-zero signal exit", err)
+			t.Fatalf("helper exited cleanly (err=%v), want non-zero signal exit", h.err)
 		}
 		return ee.ExitCode()
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
 		t.Fatal("helper did not exit within 30s of signal")
 		return -1
 	}
@@ -107,9 +124,9 @@ func signalAndWait(t *testing.T, cmd *exec.Cmd, sig os.Signal) int {
 func TestSIGINTExits130AndFlushes(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.jsonl")
-	cmd := startHelper(t, slowArgs("-metrics-out", metrics))
+	h := startHelper(t, slowArgs("-metrics-out", metrics))
 	time.Sleep(200 * time.Millisecond) // let the run get genuinely mid-experiment
-	if code := signalAndWait(t, cmd, syscall.SIGINT); code != 130 {
+	if code := signalAndWait(t, h, syscall.SIGINT); code != 130 {
 		t.Fatalf("exit code = %d, want 130 (128+SIGINT)", code)
 	}
 
@@ -136,9 +153,9 @@ func TestSIGINTExits130AndFlushes(t *testing.T) {
 func TestSIGTERMExits143AndFlushesTrace(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
-	cmd := startHelper(t, slowArgs("-trace-out", trace))
+	h := startHelper(t, slowArgs("-trace-out", trace))
 	time.Sleep(200 * time.Millisecond)
-	if code := signalAndWait(t, cmd, syscall.SIGTERM); code != 143 {
+	if code := signalAndWait(t, h, syscall.SIGTERM); code != 143 {
 		t.Fatalf("exit code = %d, want 143 (128+SIGTERM)", code)
 	}
 	data, err := os.ReadFile(trace)

@@ -126,9 +126,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Warm the hot artifact on every replica so the hot class measures
 	// cache service, not one giant first build amortized over the run.
 	// Across a fleet sharing a checkpoint store the first warmup builds
-	// and the rest read it from the store.
-	for _, b := range bases {
-		if code, err := get(client, b+"/v1/artifacts/"+hotArtifact); err != nil || code != http.StatusOK {
+	// and the rest read it from the store. Each replica's sketch counts
+	// its warmup, so the cross-check needs its client-side latency too.
+	warmup := make([]float64, len(bases))
+	for r, b := range bases {
+		t0 := time.Now()
+		code, err := get(client, b+"/v1/artifacts/"+hotArtifact)
+		warmup[r] = time.Since(t0).Seconds()
+		if err != nil || code != http.StatusOK {
 			fmt.Fprintf(stderr, "reprobench: warmup GET %s: status %d err %v\n", b, code, err)
 			return 1
 		}
@@ -247,40 +252,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Cross-check, per replica. Server-measured time nests strictly
-	// inside client-measured time, so pointwise the server never exceeds
-	// the client. Quantiles complicate that: the server population
-	// carries one extra sample (the warmup build), so its ⌈p·n⌉ order
-	// statistic can sit one rank above the client's — and when queueing
-	// makes the distribution steep at the median (1-core hosts), one
-	// rank is a multiplicative jump. The gate therefore compares each
-	// server quantile against the client's order statistic two ranks up,
-	// then applies the sketch's documented relative error plus a small
-	// absolute allowance. The reverse gap (client >> server) is expected
-	// HTTP/loopback overhead and is reported, not gated.
+	// Cross-check, per replica (see crossCheck). The reverse gap
+	// (client >> server) is expected HTTP/loopback overhead and is
+	// reported, not gated.
 	bound := serve.LatencySketchRelError
-	const absSlack = 2e-3 // scrape racing the tail + timer granularity
 	allOK := true
 	for r := range bases {
-		clientSorted := append([]float64(nil), byReplica[r]...)
-		slices.Sort(clientSorted)
-		cp50, cp99 := quantile(clientSorted, 0.5), quantile(clientSorted, 0.99)
-		ceil := func(p float64) float64 {
-			rank := int(math.Ceil(p*float64(len(clientSorted)))) + 2
-			if rank > len(clientSorted) {
-				rank = len(clientSorted)
-			}
-			return clientSorted[rank-1]
-		}
-		ok50 := srvP50[r] <= ceil(0.5)*(1+bound)+absSlack
-		ok99 := srvP99[r] <= ceil(0.99)*(1+bound)+absSlack
+		cp50, cp99, ok50, ok99 := crossCheck(byReplica[r], warmup[r], srvP50[r], srvP99[r])
 		who := "cross-check"
 		if len(bases) > 1 {
 			who = fmt.Sprintf("cross-check replica %d (%s)", r, targets[r])
 		}
 		fmt.Fprintf(stderr,
 			"reprobench: %s (bound %.2f%% + %.0fms): p50 client %.6fs server %.6fs [%s], p99 client %.6fs server %.6fs [%s], server sketch count %d\n",
-			who, bound*100, absSlack*1e3, cp50, srvP50[r], okStr(ok50), cp99, srvP99[r], okStr(ok99), srvCount[r])
+			who, bound*100, crossCheckSlack*1e3, cp50, srvP50[r], okStr(ok50), cp99, srvP99[r], okStr(ok99), srvCount[r])
 		if *addr == "" && srvCount[r] != *requests+1 { // +1 warmup; only meaningful self-hosted
 			fmt.Fprintf(stderr, "reprobench: server sketch count %d, want %d\n", srvCount[r], *requests+1)
 			ok50 = false
@@ -300,6 +285,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "reprobench: wrote sample trace to %s\n", *traceOut)
 	}
 	return 0
+}
+
+// crossCheckSlack is the absolute allowance on top of the sketch's
+// relative error: the scrape racing the tail, plus timer granularity.
+const crossCheckSlack = 2e-3
+
+// crossCheck gates one replica's server sketch quantiles against the
+// client latencies of the same requests: the timed ones it served plus
+// its warmup GET, which the sketch counts too (leaving the warmup out
+// lets a slow warmup build exceed every timed sample at p99). Server
+// time nests strictly inside client time, so pointwise the server
+// never exceeds the client. Quantiles complicate that: when queueing
+// makes the distribution steep at the median (1-core hosts), one rank
+// is a multiplicative jump. So each server quantile is compared against
+// the client's order statistic two ranks up, with the sketch's
+// documented relative error plus crossCheckSlack.
+func crossCheck(timed []float64, warmup, srvP50, srvP99 float64) (cp50, cp99 float64, ok50, ok99 bool) {
+	sorted := append(append([]float64(nil), timed...), warmup)
+	slices.Sort(sorted)
+	up2 := func(p float64) float64 {
+		rank := min(int(math.Ceil(p*float64(len(sorted))))+2, len(sorted))
+		return sorted[rank-1]
+	}
+	bound := serve.LatencySketchRelError
+	ok50 = srvP50 <= up2(0.5)*(1+bound)+crossCheckSlack
+	ok99 = srvP99 <= up2(0.99)*(1+bound)+crossCheckSlack
+	return quantile(sorted, 0.5), quantile(sorted, 0.99), ok50, ok99
 }
 
 // selfHost boots an in-process daemon on an ephemeral loopback port.

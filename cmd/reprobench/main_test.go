@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,5 +84,37 @@ func TestQuantileConvention(t *testing.T) {
 		if got := quantile(s, tc.p); got != tc.want {
 			t.Errorf("quantile(p=%g) = %g, want %g", tc.p, got, tc.want)
 		}
+	}
+}
+
+// TestCrossCheckCountsWarmup: the server sketch holds the warmup GET,
+// a cold build of the hot artifact, next to the timed requests. When
+// that warmup is the slowest request it is the server's p99, so the
+// client population must hold it too or the gate reports a violation
+// that is only a population mismatch.
+func TestCrossCheckCountsWarmup(t *testing.T) {
+	var timed []float64
+	for i := range 48 {
+		if (i+1)%12 == 0 {
+			timed = append(timed, 0.30+0.02*float64(i/12)) // cold builds
+		} else {
+			timed = append(timed, 0.001+0.00001*float64(i)) // hot hits
+		}
+	}
+	const warmup = 0.45
+	all := append(append([]float64(nil), timed...), warmup)
+	slices.Sort(all)
+	srvP50, srvP99 := quantile(all, 0.5), quantile(all, 0.99)
+	if srvP99 != warmup {
+		t.Fatalf("setup: server p99 %v is not the warmup %v", srvP99, warmup)
+	}
+	_, cp99, ok50, ok99 := crossCheck(timed, warmup, srvP50, srvP99)
+	if !ok50 || !ok99 {
+		t.Fatalf("cross-check failed on agreeing populations: ok50=%v ok99=%v (client p99 %v, server p99 %v)",
+			ok50, ok99, cp99, srvP99)
+	}
+	// The gate still bites: a server p99 beyond every client sample.
+	if _, _, _, ok99 := crossCheck(timed, warmup, srvP50, 2*warmup); ok99 {
+		t.Fatal("cross-check passed a server p99 twice the slowest client request")
 	}
 }

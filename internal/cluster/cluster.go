@@ -285,6 +285,9 @@ type pendingTask struct {
 	retries  int
 	seq      int64 // FCFS order within a priority
 	enqueued int64 // when the task entered the pending queue
+	// tried is the index change counter plus one as it stood before
+	// the task's last failed try; 0 means never tried (see try).
+	tried int64
 }
 
 type eventKind int
@@ -450,14 +453,9 @@ func Simulate(cfg Config, tasks []trace.Task, s *rng.Stream) (*Result, error) {
 	return SimulateCtx(context.Background(), cfg, tasks, s)
 }
 
-// SimulateCtx is Simulate with cooperative cancellation: the event
-// loop polls ctx every few hundred events, so a cancelled or expired
-// context aborts the simulation promptly with ctx's cause instead of
-// running the horizon out.
-func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Stream) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
+// newSim validates cfg, fills in its defaults and builds the machine
+// park, accumulators and placement index: everything but the events.
+func newSim(cfg Config, s *rng.Stream) (*sim, error) {
 	if len(cfg.Machines) == 0 {
 		return nil, fmt.Errorf("cluster: no machines configured")
 	}
@@ -520,6 +518,21 @@ func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Str
 	}
 	if !cfg.ReferencePlacement {
 		sm.pidx = newPlaceIndex(sm)
+	}
+	return sm, nil
+}
+
+// SimulateCtx is Simulate with cooperative cancellation: the event
+// loop polls ctx every few hundred events, so a cancelled or expired
+// context aborts the simulation promptly with ctx's cause instead of
+// running the horizon out.
+func SimulateCtx(ctx context.Context, cfg Config, tasks []trace.Task, s *rng.Stream) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
+	sm, err := newSim(cfg, s)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pre-size the hot-path buffers from the workload: the event heap
@@ -648,6 +661,12 @@ func (sm *sim) arrive(now int64, p pendingTask) {
 // on a heterogeneous park a constrained task would otherwise convoy
 // every peer behind it, which is not how the production scheduler
 // behaves (constrained tasks pend individually).
+//
+// Each pending task gets one try per pass. Retries are change-stamped
+// (see try): a task that already failed is skipped, or retried only on
+// the machines changed since its last try, so after each event a
+// saturated park no longer re-fails every pending task on every
+// machine.
 func (sm *sim) schedulePending(now int64) {
 	for prio := trace.MaxPriority; prio >= trace.MinPriority; prio-- {
 		q := sm.pendingQ[prio]
@@ -656,10 +675,7 @@ func (sm *sim) schedulePending(now int64) {
 		}
 		remain := q[:0]
 		for _, p := range q {
-			mi := sm.place(p.task)
-			if mi < 0 && sm.cfg.Preemption {
-				mi = sm.preemptFor(now, p.task)
-			}
+			mi := sm.try(now, &p)
 			if mi < 0 {
 				remain = append(remain, p)
 				continue
@@ -671,6 +687,35 @@ func (sm *sim) schedulePending(now int64) {
 		}
 		sm.pendingQ[prio] = remain
 	}
+}
+
+// try places p, preempting if enabled, and returns the machine or -1.
+// A failed try alters no machine except through idxUpdate (a
+// preemption that evicts and still falls short), so it stays failed
+// until some machine changes. With the index on and a scored policy,
+// try therefore skips a task that saw no change since its last try,
+// and retries one that saw fewer than len(machines) changes only on
+// the changed machines (retryChanged); otherwise it runs the full
+// place + preemptFor. Random draws from the RNG on every try and
+// ReferencePlacement is the oracle, so both always take the full try.
+func (sm *sim) try(now int64, p *pendingTask) int {
+	if sm.pidx != nil && sm.cfg.Placement != Random {
+		last := p.tried
+		p.tried = sm.pidx.gen + 1
+		if last > 0 {
+			switch since := p.tried - last; {
+			case since == 0:
+				return -1
+			case since < int64(len(sm.machines)):
+				return sm.retryChanged(now, p.task, since)
+			}
+		}
+	}
+	mi := sm.place(p.task)
+	if mi < 0 && sm.cfg.Preemption {
+		mi = sm.preemptFor(now, p.task)
+	}
+	return mi
 }
 
 // scoreOf is the placement score of a machine: higher is better, ties

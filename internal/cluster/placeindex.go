@@ -35,6 +35,14 @@ type placeIndex struct {
 	classOf []int32   // machine index -> class index
 	ver     []uint32  // machine index -> current entry version
 	scratch []pentry  // reused pop stash for classBest
+
+	// Change log for schedulePending's change-stamped retries: gen
+	// counts idxUpdate calls, and changed[k%len(changed)] is the
+	// machine the k-th one touched, so the last len(machines) changes
+	// are always on hand. retry is the reused candidate list.
+	gen     int64
+	changed []int32
+	retry   []int32
 }
 
 type pclass struct {
@@ -106,7 +114,7 @@ func heapPopEntry(h *[]pentry) pentry {
 // fresh entry at version 0.
 func newPlaceIndex(sm *sim) *placeIndex {
 	n := len(sm.machines)
-	p := &placeIndex{classOf: make([]int32, n), ver: make([]uint32, n)}
+	p := &placeIndex{classOf: make([]int32, n), ver: make([]uint32, n), changed: make([]int32, n)}
 	for _, ms := range sm.machines {
 		if !slices.Contains(p.caps, ms.m.CPU) {
 			p.caps = append(p.caps, ms.m.CPU)
@@ -162,15 +170,18 @@ func (p *placeIndex) eligible(minClass float64) []int32 {
 }
 
 // idxUpdate refreshes machine mi's index entry after any change to its
-// free capacity or up/down state. The version bump invalidates the old
-// entry; a fresh one is pushed only while the machine is up, so down
-// machines simply vanish from the heaps.
+// free capacity, running set or up/down state, and logs mi as changed.
+// The version bump invalidates the old entry; a fresh one is pushed
+// only while the machine is up, so down machines simply vanish from
+// the heaps.
 func (sm *sim) idxUpdate(mi int) {
 	p := sm.pidx
 	if p == nil {
 		return
 	}
 	p.ver[mi]++
+	p.changed[p.gen%int64(len(p.changed))] = int32(mi)
+	p.gen++
 	ms := sm.machines[mi]
 	if ms.down {
 		return
@@ -249,4 +260,44 @@ func (sm *sim) classBest(cl *pclass, t *trace.Task) (int32, float64, int) {
 	}
 	p.scratch = stash[:0]
 	return found, foundScore, examined
+}
+
+// retryChanged repeats a pending task's failed try on the machines the
+// last `since` idxUpdates touched (0 < since < len(machines)). Every
+// other machine is in the state in which the previous try found it
+// infeasible and not preemptable for t, so searching only the changed
+// ones in ascending index order — best score, ties to the lowest
+// index, then tryPreempt in turn — returns what a full place +
+// preemptFor would, with the same evictions.
+func (sm *sim) retryChanged(now int64, t *trace.Task, since int64) int {
+	p := sm.pidx
+	cand := p.retry[:0]
+	for k := p.gen - since; k < p.gen; k++ {
+		cand = append(cand, p.changed[k%int64(len(p.changed))])
+	}
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	p.retry = cand
+	sm.met.scans.Add(int64(len(cand)))
+
+	best := -1
+	var bestScore float64
+	for _, i := range cand {
+		ms := sm.machines[i]
+		if ms.down || ms.m.CPU < t.MinCPUClass || ms.freeCPU < t.CPUReq || ms.freeMem < t.MemReq {
+			continue
+		}
+		if score := sm.scoreOf(ms); best < 0 || score > bestScore {
+			best, bestScore = int(i), score
+		}
+	}
+	if best >= 0 || !sm.cfg.Preemption {
+		return best
+	}
+	for _, i := range cand {
+		if sm.tryPreempt(now, t, int(i)) {
+			return int(i)
+		}
+	}
+	return -1
 }
