@@ -1,21 +1,6 @@
 GO ?= go
-# Bench time for bench-json / bench-diff. The 100ms default keeps
-# bench-diff fast enough for make check while still giving the
-# nanosecond-scale micro-benches enough iterations to mean something;
-# use BENCHTIME=1s for numbers worth committing.
-BENCHTIME ?= 100ms
-# Benchmark snapshot file, and the newest committed one to diff
-# against. The default output is an untracked scratch file, so a plain
-# `make bench-json` never overwrites a committed snapshot; record a new
-# one with `make bench-json BENCH_OUT=BENCH_prN.json`. The baseline must be picked by the *numeric* PR suffix:
-# make's $(sort) is lexical, so it would rank BENCH_pr10.json before
-# BENCH_pr2.json and silently diff against a stale snapshot once the
-# PR counter hits double digits. sort -t_ -k2.3 -n keys on the digits
-# after "BENCH_pr" instead.
-BENCH_OUT ?= BENCH_local.json
-BENCH_BASE ?= $(shell ls BENCH_pr*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -t_ -k2.3 -n | tail -n1)
 
-.PHONY: build test race bench bench-parallel verify repro-quick check ci fmt-check bench-json bench-diff chaos smoke-replicas stress
+.PHONY: build test race bench bench-parallel bench-once verify repro-quick check ci fmt-check chaos smoke-replicas stress
 
 build:
 	$(GO) build ./...
@@ -35,6 +20,12 @@ bench:
 # Serial-vs-parallel pipeline wall time.
 bench-parallel:
 	$(GO) test -bench='BenchmarkRunAll(Serial|Parallel)$$' -run=^$$ .
+
+# Every Go benchmark in the module, one iteration each: keeps the
+# micro-benchmarks compiling and running. It measures nothing; the
+# benchmark of record is perfbench (bash perfbench/run.sh).
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 verify: test race
 
@@ -78,8 +69,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Full hygiene gate: formatting, vet, the race detector, the
-# instrumentation-never-changes-outputs invariant, the chaos suite and
-# the concurrency stress gate.
+# instrumentation-never-changes-outputs invariant, the chaos suite, the
+# concurrency stress gate and one iteration of every benchmark.
 check: fmt-check chaos stress
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -91,35 +82,12 @@ check: fmt-check chaos stress
 	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover|TestHitsBypassSaturatedGate|TestReportAssembledByteIdentical|TestEvictionRebuildByteIdentical' \
 		./internal/serve ./internal/replica
 	$(MAKE) smoke-replicas
-	-$(MAKE) bench-diff BENCH_OUT=/tmp/BENCH_check.json
-
-# Machine-readable benchmark snapshot: the pipeline benches (including
-# the resilient-runner overhead and warm checkpoint-resume pair) plus
-# the simulator, observability, and checkpoint micro-benches, and the
-# reprobench serving load test (hot/cold mix against a self-hosted
-# daemon, with the server-vs-client quantile cross-check), as JSON.
-bench-json:
-	$(GO) test -bench='BenchmarkRunAll(Serial|Parallel|ParallelInstrumented|ParallelResilient|CheckpointWarm)$$' -benchmem -benchtime=$(BENCHTIME) -run=^$$ . > /tmp/bench_root.txt
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./internal/cluster >> /tmp/bench_root.txt
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./internal/obs >> /tmp/bench_root.txt
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./internal/ckpt >> /tmp/bench_root.txt
-	$(GO) test -bench='BenchmarkUsageSamples(Exact|Streaming)$$' -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./internal/hostload >> /tmp/bench_root.txt
-	$(GO) run ./cmd/reprobench -requests 128 -concurrency 8 >> /tmp/bench_root.txt
-	cat /tmp/bench_root.txt | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-	@echo wrote $(BENCH_OUT)
-
-# Re-run the bench suite and diff it against the newest committed
-# snapshot. Exits non-zero if any benchmark's ns/op or allocs/op
-# regressed beyond benchjson's threshold (10% by default).
-bench-diff: bench-json
-	$(GO) run ./cmd/benchjson -old $(BENCH_BASE) -new $(BENCH_OUT)
+	$(MAKE) bench-once
 
 # What .github/workflows/ci.yml runs, runnable locally so "CI is red"
-# never needs a push to debug. bench-diff is advisory there (a separate
-# continue-on-error job), so it is advisory here too: the leading dash
-# keeps a perf regression from masking a correctness failure.
+# never needs a push to debug.
 ci: fmt-check build test race chaos stress smoke-replicas
-	-$(MAKE) bench-diff BENCH_OUT=/tmp/BENCH_ci.json
+	$(MAKE) bench-once
 
 repro-quick:
 	$(GO) run ./cmd/repro -scale quick

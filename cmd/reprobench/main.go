@@ -15,17 +15,14 @@
 //
 // With no -addr, reprobench self-hosts an in-process daemon on a
 // loopback listener (scenario from -machines/-sim-days/-workload-days,
-// default a seconds-fast tiny config), so `make bench-json` needs no
-// running service. Against an external -addr the scenario flags are
+// default a seconds-fast tiny config), so a run needs no running
+// service. Against an external -addr the scenario flags are
 // ignored and cold requests derive fresh scenarios from the daemon's
 // base config via ?seed=.
 //
 // Output is `go test -bench` text on stdout — one line per traffic
 // class with ns/op (mean client latency), req/s, p50_s/p99_s client
-// quantiles and srv_p50_s/srv_p99_s server-sketch quantiles — so the
-// existing cmd/benchjson pipeline ingests it unchanged:
-//
-//	reprobench | benchjson > BENCH_serve.json
+// quantiles and srv_p50_s/srv_p99_s server-sketch quantiles.
 //
 // The cross-check prints to stderr and is advisory by default; -strict
 // exits 1 when the server-side quantile exceeds the client-side one

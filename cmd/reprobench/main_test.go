@@ -34,7 +34,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRunSelfHosted is the end-to-end benchmark test: self-host a
-// daemon, drive a small strict run, and require benchjson-parseable
+// daemon, drive a small strict run, and require `go test -bench`-format
 // output plus a passing server/client quantile cross-check.
 func TestRunSelfHosted(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")

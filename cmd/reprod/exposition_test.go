@@ -21,9 +21,6 @@ import (
 var requiredSeries = []string{
 	"serve_req_total",
 	"serve_req_inflight",
-	"serve_req_latency_seconds_bucket",
-	"serve_req_latency_seconds_count",
-	"serve_req_latency_seconds_sum",
 	"serve_req_latency_quantile_seconds",
 	"serve_req_latency_sketch_count",
 	"serve_gate_inflight",

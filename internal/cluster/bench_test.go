@@ -104,8 +104,8 @@ func benchPlace(b *testing.B, n int, reference bool) {
 }
 
 // BenchmarkPlace scales the placement policies over machine counts up
-// to the full-trace 12500 (sub-benchmark names use only slashes so
-// benchjson's procs-suffix split is unambiguous).
+// to the full-trace 12500 (sub-benchmark names use only slashes, so the
+// trailing -GOMAXPROCS suffix of each result line is unambiguous).
 func BenchmarkPlace(b *testing.B) {
 	for _, n := range []int{100, 1000, synth.FullScaleMachines} {
 		b.Run(fmt.Sprintf("ref/%d", n), func(b *testing.B) { benchPlace(b, n, true) })

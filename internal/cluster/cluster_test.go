@@ -377,8 +377,11 @@ func TestGoogleWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Attempts == 0 {
-		t.Fatal("nothing scheduled")
+	if res.Stats.Attempts == 0 || len(res.Events) == 0 {
+		t.Fatalf("nothing scheduled: %d attempts, %d events", res.Stats.Attempts, len(res.Events))
+	}
+	if len(res.Machines) != len(machines) {
+		t.Fatalf("got %d machine series, want %d", len(res.Machines), len(machines))
 	}
 
 	// Pending stays near zero outside bootstrap (Section IV: "the

@@ -122,6 +122,9 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.ID != "table1" || len(r.Tables) == 0 {
+		t.Fatalf("table1 result: id %q, %d tables", r.ID, len(r.Tables))
+	}
 	gf := r.Metrics["Google_fairness"]
 	if gf < 0.8 {
 		t.Errorf("google fairness %v, want ~0.94", gf)

@@ -6,7 +6,7 @@ import (
 )
 
 // The registry's contract is "cheap enough to leave on": these benches
-// are the evidence BENCH_pr2.json records for future perf PRs.
+// are the evidence (go test -bench . ./internal/obs).
 
 func BenchmarkCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench")

@@ -162,6 +162,14 @@ func TestBestPicksLowestMAE(t *testing.T) {
 	if e.MAE > 0.05 {
 		t.Fatalf("best MAE %v too large for smooth signal", e.MAE)
 	}
+	// A flat series is predicted exactly.
+	flat := make([]float64, 100)
+	for i := range flat {
+		flat[i] = 0.4
+	}
+	if p, e := Best(Standard(), []*timeseries.Series{series(flat)}, 10); p == nil || e.MAE > 1e-9 {
+		t.Fatalf("best on flat series: %v, MAE %v", p, e.MAE)
+	}
 }
 
 func TestBestOnGridVsGoogleLikeSignals(t *testing.T) {

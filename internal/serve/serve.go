@@ -166,7 +166,6 @@ type Server struct {
 
 	reqTotal    *obs.Counter
 	reqInflight *obs.Gauge
-	reqLatency  *obs.Histogram
 	coShared    *obs.Counter
 	artifactHit *obs.Counter
 	renders     *obs.Counter
@@ -192,9 +191,6 @@ func (e *entry) artifact(expID string) *artifact {
 	defer e.mu.RUnlock()
 	return e.arts[expID]
 }
-
-// reqLatencyUppers buckets whole-request wall time (seconds).
-var reqLatencyUppers = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 300}
 
 // New assembles a server from cfg.
 func New(cfg Config) *Server {
@@ -232,7 +228,6 @@ func New(cfg Config) *Server {
 		accessLog:    newAccessLogger(cfg.AccessLog, cfg.AccessLogSample),
 		reqTotal:     reg.Counter("serve.req.total"),
 		reqInflight:  reg.Gauge("serve.req.inflight"),
-		reqLatency:   reg.Histogram("serve.req.latency_seconds", reqLatencyUppers),
 		coShared:     reg.Counter("serve.coalesce.shared"),
 		artifactHit:  reg.Counter("serve.artifact.hit"),
 		renders:      reg.Counter("serve.artifact.render"),
@@ -314,7 +309,6 @@ func (s *Server) Handler() http.Handler {
 		defer func() {
 			dur := time.Since(start)
 			s.reqInflight.Add(-1)
-			s.reqLatency.Observe(dur.Seconds())
 			s.latSketch.observe(endpoint, dur)
 			sp.End()
 			if sw.status == 0 {

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -339,11 +340,21 @@ func TestGridCPUUtilisationContrast(t *testing.T) {
 }
 
 func TestSystemByName(t *testing.T) {
-	for _, name := range []string{"AuverGrid", "NorduGrid", "SHARCNET", "ANL", "RICC", "MetaCentrum", "LLNL-Atlas", "DAS-2"} {
+	paperOrder := []string{"AuverGrid", "NorduGrid", "SHARCNET", "ANL", "RICC", "MetaCentrum", "LLNL-Atlas", "DAS-2"}
+	for _, name := range paperOrder {
 		g, err := SystemByName(name)
 		if err != nil || g.Name != name {
 			t.Errorf("SystemByName(%q) = %v, %v", name, g.Name, err)
 		}
+	}
+	// GridSystems holds the seven Table I systems in paper order; DAS-2
+	// is kept apart and comes last.
+	var names []string
+	for _, g := range append(append([]GridSystem{}, GridSystems...), DAS2) {
+		names = append(names, g.Name)
+	}
+	if !slices.Equal(names, paperOrder) {
+		t.Errorf("grid systems %v, want paper order %v", names, paperOrder)
 	}
 	if _, err := SystemByName("Nope"); err == nil {
 		t.Error("unknown system accepted")

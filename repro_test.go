@@ -1,12 +1,42 @@
 package repro
 
+// End-to-end smoke tests across the internal packages, assembled the
+// way a caller strings them together: generate a workload, simulate a
+// cluster, run an experiment, and fit, predict and find periods in a
+// series.
+
 import (
 	"math"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/fit"
+	"repro/internal/predict"
+	"repro/internal/rng"
+	"repro/internal/spectral"
+	"repro/internal/synth"
+	"repro/internal/timeseries"
+	"repro/internal/trace"
 )
 
+func generateGoogleWorkload(horizon int64, seed uint64) ([]trace.Task, []trace.Job) {
+	tasks := synth.GenerateGoogleTasks(synth.DefaultGoogleConfig(horizon), rng.New(seed))
+	return tasks, synth.GoogleJobsFromTasks(tasks)
+}
+
+// gridSystemNames lists the Grid/HPC systems in paper order: the seven
+// Table I systems, then DAS-2.
+func gridSystemNames() []string {
+	var names []string
+	for _, g := range synth.GridSystems {
+		names = append(names, g.Name)
+	}
+	return append(names, synth.DAS2.Name)
+}
+
 func TestGenerateGoogleWorkload(t *testing.T) {
-	tasks, jobs := GenerateGoogleWorkload(3600, 1)
+	tasks, jobs := generateGoogleWorkload(3600, 1)
 	if len(tasks) == 0 || len(jobs) == 0 {
 		t.Fatal("empty workload")
 	}
@@ -14,29 +44,29 @@ func TestGenerateGoogleWorkload(t *testing.T) {
 		t.Fatal("fewer tasks than jobs")
 	}
 	// Deterministic.
-	tasks2, _ := GenerateGoogleWorkload(3600, 1)
+	tasks2, _ := generateGoogleWorkload(3600, 1)
 	if len(tasks) != len(tasks2) {
 		t.Fatal("nondeterministic generation")
 	}
 }
 
 func TestGenerateGridWorkload(t *testing.T) {
-	for _, name := range GridSystemNames() {
-		jobs, err := GenerateGridWorkload(name, 86400, 2)
+	for _, name := range gridSystemNames() {
+		sys, err := synth.SystemByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(jobs) == 0 {
+		if jobs := sys.Generate(86400, rng.New(2)); len(jobs) == 0 {
 			t.Fatalf("%s: empty workload", name)
 		}
 	}
-	if _, err := GenerateGridWorkload("Unknown", 86400, 2); err == nil {
+	if _, err := synth.SystemByName("Unknown"); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
 
 func TestGridSystemNames(t *testing.T) {
-	names := GridSystemNames()
+	names := gridSystemNames()
 	if len(names) != 8 {
 		t.Fatalf("got %d systems, want 8", len(names))
 	}
@@ -46,11 +76,15 @@ func TestGridSystemNames(t *testing.T) {
 }
 
 func TestSimulateGoogleCluster(t *testing.T) {
-	res, err := SimulateGoogleCluster(10, 6*3600, 3)
+	const machines, horizon = 10, 6 * 3600
+	s := rng.New(3)
+	park := synth.GoogleMachines(machines, s.Child("machines"))
+	tasks := synth.GenerateGoogleTasks(synth.ScaledGoogleConfig(machines, horizon), s.Child("workload"))
+	res, err := cluster.Simulate(cluster.DefaultConfig(park, horizon), tasks, s.Child("sim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Machines) != 10 {
+	if len(res.Machines) != machines {
 		t.Fatalf("got %d machine series", len(res.Machines))
 	}
 	if len(res.Events) == 0 {
@@ -62,35 +96,38 @@ func TestSimulateGoogleCluster(t *testing.T) {
 }
 
 func TestRunExperiment(t *testing.T) {
-	cfg := QuickExperimentConfig()
-	r, err := RunExperiment("table1", cfg)
+	exp, err := core.Find("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := exp.Run(core.NewContext(core.QuickConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.ID != "table1" || len(r.Tables) == 0 {
 		t.Fatalf("unexpected result %+v", r)
 	}
-	if _, err := RunExperiment("nope", cfg); err == nil {
+	if _, err := core.Find("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestExperimentsRegistry(t *testing.T) {
-	if len(Experiments()) != 15 {
-		t.Fatalf("want 15 experiments, got %d", len(Experiments()))
+	if len(core.Experiments()) != 15 {
+		t.Fatalf("want 15 experiments, got %d", len(core.Experiments()))
 	}
-	if len(ExtensionExperiments()) != 5 {
-		t.Fatalf("want 5 extensions, got %d", len(ExtensionExperiments()))
+	if len(core.Extensions()) != 5 {
+		t.Fatalf("want 5 extensions, got %d", len(core.Extensions()))
 	}
 }
 
 func TestFacadeCapabilities(t *testing.T) {
-	// Fit: the facade exposes ranked models.
+	// Fit: ranked models.
 	sample := make([]float64, 100)
 	for i := range sample {
 		sample[i] = float64(i%17) + 1
 	}
-	models, err := FitDistribution(sample)
+	models, err := fit.Fit(sample)
 	if err != nil || len(models) == 0 {
 		t.Fatalf("fit: %v (%d models)", err, len(models))
 	}
@@ -100,8 +137,8 @@ func TestFacadeCapabilities(t *testing.T) {
 	for i := range vs {
 		vs[i] = 0.4
 	}
-	s := &Series{Start: 0, Step: 300, Values: vs}
-	p, e := BestPredictor([]*Series{s}, 10)
+	s := &timeseries.Series{Start: 0, Step: 300, Values: vs}
+	p, e := predict.Best(predict.Standard(), []*timeseries.Series{s}, 10)
 	if p == nil || e.MAE > 1e-9 {
 		t.Fatalf("best predictor on flat series: %v %v", p, e)
 	}
@@ -111,24 +148,11 @@ func TestFacadeCapabilities(t *testing.T) {
 	for i := range daily {
 		daily[i] = 0.5 + 0.3*math.Sin(2*math.Pi*float64(i)*300/86400)
 	}
-	peak, err := DominantPeriod(&Series{Start: 0, Step: 300, Values: daily})
+	peak, err := spectral.DominantPeriod(&timeseries.Series{Start: 0, Step: 300, Values: daily})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if peak.PeriodSeconds < 86400/2 || peak.PeriodSeconds > 86400*2 {
 		t.Fatalf("period %v", peak.PeriodSeconds)
-	}
-
-	// Capacity: plan over a tiny simulation.
-	res, err := SimulateGoogleCluster(8, 6*3600, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := PlanConsolidation(res, 0.7, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Peak < 1 {
-		t.Fatalf("plan peak %v", plan.Peak)
 	}
 }
