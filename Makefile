@@ -32,7 +32,9 @@ verify: test race
 # Chaos suite: deterministic fault injection end to end. The headline
 # invariant is that a chaos run under -keep-going emits byte-identical
 # artifacts for every experiment the fault did not touch, plus the
-# signal-handling, retry, and checkpoint-resume contracts.
+# signal-handling, retry, and checkpoint-resume contracts. Fault plans
+# are per instance, so the plan-arming tests run in parallel within one
+# process; the second half reruns those packages under the race detector.
 chaos:
 	$(GO) test -run 'TestChaos|TestCLIChaos|TestSIG|TestBuildRetry|TestBuildFails|TestCLICheckpoint|TestCheckpointResume' \
 		./cmd/repro ./internal/core
@@ -40,6 +42,10 @@ chaos:
 	$(GO) test -run 'TestSimulateCtx|TestSimulateFaultSite|TestPanicStops|TestForEachCtx' \
 		./internal/cluster ./internal/par
 	$(GO) test -run 'TestHealthzDegradedStillOK|TestLeaseLostDuringCoreBuildKeepsScenarioUsable' ./internal/serve
+	$(GO) test -race ./internal/fault ./internal/ckpt ./internal/replica
+	$(GO) test -race -run 'TestChaos|TestBuildRetry|TestBuildFails|TestCheckpointResume' ./internal/core
+	$(GO) test -race -run 'TestSimulateCtx|TestSimulateFaultSite' ./internal/cluster
+	$(GO) test -race -run 'TestHealthzDegradedStillOK|TestLeaseLostDuringCoreBuildKeepsScenarioUsable' ./internal/serve
 
 # Concurrency stress gate: every test that pins a concurrency guarantee
 # (one build fleet-wide, lease takeover under chaos, a superseded holder

@@ -139,7 +139,7 @@ func benchRunAll(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx := core.NewContext(core.QuickConfig())
-		results, err := core.RunAllParallel(ctx, workers)
+		results, err := core.RunExperiments(context.Background(), ctx, core.Experiments(), core.RunOptions{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkRunAllParallelInstrumented(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := core.NewContext(core.QuickConfig())
 		ctx.SetRecorder(obs.NewRecorder())
-		results, err := core.RunAllParallel(ctx, 0)
+		results, err := core.RunExperiments(context.Background(), ctx, core.Experiments(), core.RunOptions{Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -19,18 +20,17 @@ import (
 // fault did not touch — chaos in one experiment never bleeds into its
 // neighbours' outputs.
 func TestCLIChaosInvariant(t *testing.T) {
+	t.Parallel()
 	cleanDir, chaosDir := t.TempDir(), t.TempDir()
 
 	var cleanOut bytes.Buffer
-	if code := run(tiny("-out", cleanDir), &cleanOut, io.Discard); code != 0 {
+	if code := run(context.Background(), tiny("-out", cleanDir), &cleanOut, io.Discard); code != 0 {
 		t.Fatalf("clean run exit = %d, want 0", code)
 	}
 
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "core.exp.fig4", Hit: 1, Kind: fault.Panic}))
-	defer restore()
+	plan := fault.NewPlan(fault.Rule{Site: "core.exp.fig4", Hit: 1, Kind: fault.Panic})
 	var chaosOut bytes.Buffer
-	code := run(tiny("-keep-going", "-out", chaosDir), &chaosOut, io.Discard)
-	restore()
+	code := run(fault.With(context.Background(), plan), tiny("-keep-going", "-out", chaosDir), &chaosOut, io.Discard)
 	if code != exitKeepGoingFailures {
 		t.Fatalf("chaos run exit = %d, want %d", code, exitKeepGoingFailures)
 	}
@@ -75,11 +75,10 @@ func TestCLIChaosInvariant(t *testing.T) {
 // TestCLIChaosWithoutKeepGoingAborts: the same injected fault without
 // -keep-going must abort the run with a non-zero, non-keep-going exit.
 func TestCLIChaosWithoutKeepGoingAborts(t *testing.T) {
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "core.exp.fig3", Hit: 1, Kind: fault.Error}))
-	defer restore()
+	t.Parallel()
+	plan := fault.NewPlan(fault.Rule{Site: "core.exp.fig3", Hit: 1, Kind: fault.Error})
 	var out, errOut bytes.Buffer
-	code := run(tiny(), &out, &errOut)
-	restore()
+	code := run(fault.With(context.Background(), plan), tiny(), &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -123,7 +122,7 @@ func TestCLICheckpointResume(t *testing.T) {
 	m2 := filepath.Join(dir, "m2.jsonl")
 
 	var out1 bytes.Buffer
-	if code := run(tiny("-checkpoint-dir", ck, "-metrics-out", m1), &out1, io.Discard); code != 0 {
+	if code := run(context.Background(), tiny("-checkpoint-dir", ck, "-metrics-out", m1), &out1, io.Discard); code != 0 {
 		t.Fatalf("cold run exit = %d, want 0", code)
 	}
 	cold := readCounters(t, m1)
@@ -135,7 +134,7 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 
 	var out2 bytes.Buffer
-	if code := run(tiny("-checkpoint-dir", ck, "-metrics-out", m2), &out2, io.Discard); code != 0 {
+	if code := run(context.Background(), tiny("-checkpoint-dir", ck, "-metrics-out", m2), &out2, io.Discard); code != 0 {
 		t.Fatalf("warm run exit = %d, want 0", code)
 	}
 	warm := readCounters(t, m2)
@@ -165,11 +164,11 @@ func TestCLICheckpointPartialResume(t *testing.T) {
 	m := filepath.Join(dir, "m.jsonl")
 
 	var out bytes.Buffer
-	if code := run(tiny("-checkpoint-dir", ck, "-only", "fig2,fig5"), &out, io.Discard); code != 0 {
+	if code := run(context.Background(), tiny("-checkpoint-dir", ck, "-only", "fig2,fig5"), &out, io.Discard); code != 0 {
 		t.Fatalf("partial run exit = %d, want 0", code)
 	}
 	out.Reset()
-	if code := run(tiny("-checkpoint-dir", ck, "-metrics-out", m), &out, io.Discard); code != 0 {
+	if code := run(context.Background(), tiny("-checkpoint-dir", ck, "-metrics-out", m), &out, io.Discard); code != 0 {
 		t.Fatalf("full run exit = %d, want 0", code)
 	}
 	c := readCounters(t, m)

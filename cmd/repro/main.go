@@ -61,14 +61,17 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // exitKeepGoingFailures is the exit code when -keep-going finished the
 // run but one or more experiments failed and were annotated.
 const exitKeepGoingFailures = 3
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the testable body of the CLI. Every experiment runs under a
+// context derived from parent, so whatever parent carries (a test's
+// fault plan) reaches each experiment and artifact build.
+func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -194,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// their next cancellation poll; finished checkpoints are already on
 	// disk, and the flush below still writes -metrics-out/-trace-out
 	// before the process exits with 128+signum.
-	rootCtx, cancelRoot := context.WithCancelCause(context.Background())
+	rootCtx, cancelRoot := context.WithCancelCause(parent)
 	defer cancelRoot(nil)
 	var gotSignal atomic.Value
 	sigCh := make(chan os.Signal, 2)
@@ -414,14 +417,7 @@ func timingRows(rec *obs.Recorder) []report.TimingRow {
 	for _, s := range rec.Summarize() {
 		switch s.Cat {
 		case obs.CatExperiment, obs.CatArtifact, obs.CatStage:
-			rows = append(rows, report.TimingRow{
-				Name:       s.Name,
-				Count:      s.Count,
-				Wall:       s.Wall,
-				AllocBytes: s.AllocBytes,
-				Mallocs:    s.Mallocs,
-				GCs:        int64(s.NumGC),
-			})
+			rows = append(rows, report.TimingRow{Name: s.Name, Count: s.Count, Wall: s.Wall})
 		}
 	}
 	return rows

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,7 +20,7 @@ func tiny(extra ...string) []string {
 
 func TestReproSingleExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(tiny("-only", "table1"), &out, &errOut)
+	code := run(context.Background(), tiny("-only", "table1"), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -32,7 +33,7 @@ func TestReproSingleExperiment(t *testing.T) {
 func TestReproWritesOutputs(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
-	code := run(tiny("-only", "fig3,fig4", "-out", dir), &out, &errOut)
+	code := run(context.Background(), tiny("-only", "fig3,fig4", "-out", dir), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -45,7 +46,7 @@ func TestReproWritesOutputs(t *testing.T) {
 
 func TestReproVerboseMetrics(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(tiny("-only", "fig4", "-v"), &out, &errOut)
+	code := run(context.Background(), tiny("-only", "fig4", "-v"), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -66,7 +67,7 @@ func TestReproParallelMatchesSerial(t *testing.T) {
 	outs := map[int]string{}
 	for _, workers := range []int{1, 8} {
 		var out, errOut bytes.Buffer
-		code := run(tiny("-out", dirs[workers], "-v", "-parallel", strconv.Itoa(workers)), &out, &errOut)
+		code := run(context.Background(), tiny("-out", dirs[workers], "-v", "-parallel", strconv.Itoa(workers)), &out, &errOut)
 		if code != 0 {
 			t.Fatalf("parallel=%d: exit %d: %s", workers, code, errOut.String())
 		}
@@ -105,7 +106,7 @@ func TestReproParallelMatchesSerial(t *testing.T) {
 // nondeterministic run-to-run).
 func TestReproVerboseMetricsSorted(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(tiny("-only", "fig4", "-v"), &out, &errOut)
+	code := run(context.Background(), tiny("-only", "fig4", "-v"), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -125,13 +126,13 @@ func TestReproVerboseMetricsSorted(t *testing.T) {
 
 func TestReproBadArgs(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-scale", "massive"}, &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-scale", "massive"}, &out, &errOut); code != 2 {
 		t.Error("bad scale accepted")
 	}
-	if code := run([]string{"-only", "fig99"}, &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-only", "fig99"}, &out, &errOut); code != 2 {
 		t.Error("unknown experiment accepted")
 	}
-	if code := run([]string{"-nosuchflag"}, &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-nosuchflag"}, &out, &errOut); code != 2 {
 		t.Error("bad flag accepted")
 	}
 }
@@ -140,7 +141,7 @@ func TestReproMarkdownReport(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.md")
 	var out, errOut bytes.Buffer
-	code := run(tiny("-only", "table1,fig4", "-markdown", path), &out, &errOut)
+	code := run(context.Background(), tiny("-only", "table1,fig4", "-markdown", path), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
@@ -160,7 +161,7 @@ func TestReproCheckMode(t *testing.T) {
 	// At a tiny scale some checks may fail; the command must still run
 	// the machinery and render the verdict table. Accept exit 0 or 1.
 	var out, errOut bytes.Buffer
-	code := run(tiny("-check"), &out, &errOut)
+	code := run(context.Background(), tiny("-check"), &out, &errOut)
 	if code != 0 && code != 1 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}

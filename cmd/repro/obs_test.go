@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -29,11 +30,11 @@ func TestInstrumentationByteIdentical(t *testing.T) {
 	tracePath := filepath.Join(scratch, "trace.json")
 
 	var plainOut, plainErr bytes.Buffer
-	if code := run(tiny("-out", plainDir, "-v"), &plainOut, &plainErr); code != 0 {
+	if code := run(context.Background(), tiny("-out", plainDir, "-v"), &plainOut, &plainErr); code != 0 {
 		t.Fatalf("plain run: exit %d: %s", code, plainErr.String())
 	}
 	var obsOut, obsErr bytes.Buffer
-	if code := run(tiny("-out", obsDir, "-v", "-metrics-out", metricsPath, "-trace-out", tracePath),
+	if code := run(context.Background(), tiny("-out", obsDir, "-v", "-metrics-out", metricsPath, "-trace-out", tracePath),
 		&obsOut, &obsErr); code != 0 {
 		t.Fatalf("instrumented run: exit %d: %s", code, obsErr.String())
 	}
@@ -81,7 +82,7 @@ func TestInstrumentationByteIdentical(t *testing.T) {
 func TestMetricsOutWellFormed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.jsonl")
 	var out, errOut bytes.Buffer
-	if code := run(tiny("-metrics-out", path, "-parallel", "4"), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-metrics-out", path, "-parallel", "4"), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(path)
@@ -128,7 +129,7 @@ func TestMetricsOutWellFormed(t *testing.T) {
 func TestTraceOutLoadable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out, errOut bytes.Buffer
-	if code := run(tiny("-trace-out", path, "-parallel", "4"), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-trace-out", path, "-parallel", "4"), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(path)
@@ -179,7 +180,7 @@ func TestObsBadPathsFailFast(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no-such-dir", "x")
 	for _, flag := range []string{"-metrics-out", "-trace-out"} {
 		var out, errOut bytes.Buffer
-		if code := run(tiny(flag, bad), &out, &errOut); code == 0 {
+		if code := run(context.Background(), tiny(flag, bad), &out, &errOut); code == 0 {
 			t.Errorf("%s with bad path exited 0", flag)
 		}
 		if strings.Contains(out.String(), "===") {
@@ -192,14 +193,14 @@ func TestObsBadPathsFailFast(t *testing.T) {
 // code treated 0 as "flag unset" and silently kept the default).
 func TestSeedZeroHonored(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(tiny("-only", "table1", "-seed", "0"), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-only", "table1", "-seed", "0"), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "seed 0\n") {
 		t.Errorf("-seed 0 not honored: %q", strings.SplitN(out.String(), "\n", 2)[0])
 	}
 	out.Reset()
-	if code := run(tiny("-only", "table1"), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-only", "table1"), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "seed 1\n") {
@@ -217,7 +218,7 @@ func TestExplicitZeroOverridesRejected(t *testing.T) {
 		{"-workload-days", "-1"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
+		if code := run(context.Background(), args, &out, &errOut); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		if !strings.Contains(errOut.String(), "must be positive") {
@@ -230,7 +231,7 @@ func TestExplicitZeroOverridesRejected(t *testing.T) {
 // leaves stdout untouched.
 func TestProgressFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(tiny("-only", "table1,fig4", "-progress"), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-only", "table1,fig4", "-progress"), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if got := strings.Count(errOut.String(), "progress:"); got != 2 {
@@ -250,10 +251,10 @@ func TestMarkdownTimingSection(t *testing.T) {
 	dir := t.TempDir()
 	plain, instr := filepath.Join(dir, "plain.md"), filepath.Join(dir, "instr.md")
 	var out, errOut bytes.Buffer
-	if code := run(tiny("-only", "table1", "-markdown", plain), &out, &errOut); code != 0 {
+	if code := run(context.Background(), tiny("-only", "table1", "-markdown", plain), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if code := run(tiny("-only", "table1", "-markdown", instr,
+	if code := run(context.Background(), tiny("-only", "table1", "-markdown", instr,
 		"-metrics-out", filepath.Join(dir, "m.jsonl")), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -25,7 +26,7 @@ func TestSignalHelperProcess(t *testing.T) {
 	if args == "" {
 		t.Skip("helper process only runs under the signal tests")
 	}
-	os.Exit(run(strings.Split(args, "\n"), os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), strings.Split(args, "\n"), os.Stdout, os.Stderr))
 }
 
 // slowArgs builds a run long enough that a signal sent shortly after

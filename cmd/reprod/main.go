@@ -86,6 +86,25 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
+// chaosRules derives what -chaos-seed arms: for each replica chaos site
+// in replica.ChaosSites order, one Float64 draw decides (with
+// probability prob) whether the site is armed, then one Int64N(20) draw
+// picks the failing hit in [1, 20]. Only Error-kind rules: the point is
+// proving the daemon degrades and converges, not crashing it; kill-style
+// failures are exercised by the test suite, which can afford to lose a
+// process. The draw order is pinned by a test, because shifting one
+// draw silently changes what every seed arms.
+func chaosRules(seed uint64, prob float64) []fault.Rule {
+	cs := rng.New(seed).Child("reprod.chaos")
+	var rules []fault.Rule
+	for _, site := range replica.ChaosSites() {
+		if cs.Float64() < prob {
+			rules = append(rules, fault.Rule{Site: site, Hit: 1 + cs.Int64N(20), Kind: fault.Error})
+		}
+	}
+	return rules
+}
+
 // run is the testable body of the daemon. When ready is non-nil it
 // receives the bound listen address once the server is accepting —
 // tests pass it to learn the ephemeral port of -addr host:0.
@@ -227,22 +246,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			*replicaID, *ckptDir, *leaseTTL)
 	}
 
-	// Chaos mode arms deterministic error injections across the replica
-	// failure surface (lease I/O, checkpoint writes). Only
-	// Error-kind rules: the point is proving the daemon degrades and
-	// converges, not crashing it — kill-style failures are exercised by
-	// the test suite, which can afford to lose a process.
+	// Chaos mode arms this daemon's plan on the root context, which
+	// every build (and so every lease and core fault site) runs under,
+	// and on its own store; sibling daemons in one process stay clean.
+	baseCtx := context.Background()
 	if *chaosProb > 0 {
-		cs := rng.New(*chaosSeed).Child("reprod.chaos")
-		var rules []fault.Rule
-		for _, site := range replica.ChaosSites() {
-			if cs.Float64() < *chaosProb {
-				rules = append(rules, fault.Rule{Site: site, Hit: 1 + cs.Int64N(20), Kind: fault.Error})
-			}
-		}
-		if len(rules) > 0 {
-			defer fault.Enable(fault.NewPlan(rules...))()
-		}
+		rules := chaosRules(*chaosSeed, *chaosProb)
+		plan := fault.NewPlan(rules...)
+		baseCtx = fault.With(baseCtx, plan)
+		store.SetFaults(plan)
 		fmt.Fprintf(stderr, "reprod: chaos armed (seed %d, prob %g): %d rule(s) across %d site(s)\n",
 			*chaosSeed, *chaosProb, len(rules), len(replica.ChaosSites()))
 	}
@@ -250,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	// rootCtx is the server's lifetime: artifact builds run under it, so
 	// it stays alive through a graceful drain and is cancelled only when
 	// the drain times out or a second signal demands a hard stop.
-	rootCtx, cancelRoot := context.WithCancelCause(context.Background())
+	rootCtx, cancelRoot := context.WithCancelCause(baseCtx)
 	defer cancelRoot(nil)
 
 	srv := serve.New(serve.Config{

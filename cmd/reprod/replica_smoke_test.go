@@ -14,10 +14,11 @@ import (
 )
 
 // TestMultiReplicaSmoke is the fleet end-to-end: three daemons over one
-// shared checkpoint directory, one replica running with chaos
+// shared checkpoint directory, one replica (r2) running with chaos
 // injections armed. Every replica must serve byte-identical artifacts,
-// exactly one of them building; /healthz must name each replica; and a
-// single SIGTERM must drain all three to a clean exit 0.
+// each distinct key built exactly once fleet-wide; the injected faults
+// must land on r2 and only on r2; /healthz must name each replica; and
+// a single SIGTERM must drain all three to a clean exit 0.
 func TestMultiReplicaSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-daemon boot is seconds-slow")
@@ -41,7 +42,9 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		}, scenario...)
 		if name == "r2" {
 			// The chaos replica: deterministic error injections across
-			// the replica fault surface. It must still serve correctly.
+			// the replica fault surface (seed 1 arms ckpt.write at its
+			// second hit, see TestChaosRulesPinned). It must still
+			// serve correctly.
 			args = append(args, "-chaos-seed", "1", "-chaos-prob", "1")
 		}
 		ready := make(chan string, 1)
@@ -84,8 +87,21 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		}
 	}
 
+	// Cold artifacts, one replica each. r2's first store write (fig3)
+	// lands and its second (fig6) hits its armed ckpt.write fault; r0's
+	// and r1's writes in between carry no plan. Were the plan shared by
+	// the process, r0's fig4 write would be its second hit instead.
+	requested := []string{"fig3", "fig4", "fig5", "fig6"}
+	for i, d := range []*daemon{r2, r0, r1, r2} {
+		code, body := fetch(d.addr, "/v1/artifacts/"+requested[i])
+		if code != http.StatusOK {
+			t.Fatalf("/v1/artifacts/%s: %d (%s)", requested[i], code, body)
+		}
+	}
+
 	// The same artifact from all three replicas: byte-identical, and
 	// the shared store means at most one replica simulated it.
+	requested = append(requested, "fig2")
 	var bodies [3]string
 	for i, d := range []*daemon{r0, r1, r2} {
 		code, body := fetch(d.addr, "/v1/artifacts/fig2")
@@ -98,9 +114,11 @@ func TestMultiReplicaSmoke(t *testing.T) {
 		t.Fatalf("replica bodies differ: lens %d/%d/%d", len(bodies[0]), len(bodies[1]), len(bodies[2]))
 	}
 
-	// Exactly one fleet-wide build: r0 builds and publishes, the other
-	// replicas read the shared store. Each replica's counters are its
-	// own, so sum replica_build_done over the three expositions.
+	// One build per distinct key fleet-wide: fig2 is built by r0 and
+	// read by the others from the shared store. Each replica's counters
+	// are its own, so sum over the three expositions. Injected faults
+	// are counted on r2 only: its plan rides on its own root context and
+	// store, not on the process.
 	var builds float64
 	for name, d := range daemons {
 		code, body := fetch(d.addr, "/metrics")
@@ -116,9 +134,18 @@ func TestMultiReplicaSmoke(t *testing.T) {
 			t.Fatalf("%s /metrics has no replica_build_done", name)
 		}
 		builds += n
+		skips, _ := dump.Value(obs.PromName("ckpt.skip"))
+		leaseErrs, _ := dump.Value(obs.PromName("replica.lease.err"))
+		if name == "r2" {
+			if skips < 1 {
+				t.Errorf("r2 ckpt_skip = %g, want >= 1: its armed ckpt.write fault never fired", skips)
+			}
+		} else if skips != 0 || leaseErrs != 0 {
+			t.Errorf("%s ckpt_skip = %g, replica_lease_err = %g; want 0 and 0 on a replica without chaos", name, skips, leaseErrs)
+		}
 	}
-	if builds != 1 {
-		t.Fatalf("replica_build_done summed over the fleet = %g, want exactly 1", builds)
+	if want := float64(len(requested)); builds != want {
+		t.Fatalf("replica_build_done summed over the fleet = %g, want %g (one per distinct key)", builds, want)
 	}
 
 	// One SIGTERM reaches every in-process daemon; all must drain to 0.

@@ -69,6 +69,7 @@ type Store struct {
 	dir    string
 	writer string        // per-writer temp-file suffix, never empty
 	reg    *obs.Registry // nil-safe, may be nil
+	faults *fault.Plan   // the owning daemon's chaos plan; nil arms nothing
 }
 
 // tmpSeq distinguishes concurrent temp files from the same writer.
@@ -104,6 +105,15 @@ func (s *Store) SetWriter(id string) {
 		}
 	}, id)
 	s.writer = clean
+}
+
+// SetFaults arms the store's "ckpt.write" fault site with p, the chaos
+// plan of the daemon (or test) that opened it. The store has no
+// context to carry a plan, so it holds its owner's. nil disarms.
+func (s *Store) SetFaults(p *fault.Plan) {
+	if s != nil {
+		s.faults = p
+	}
 }
 
 // Enabled reports whether the store actually persists anything.
@@ -173,12 +183,13 @@ func (s *Store) Save(key string, v any) error {
 // by construction writing the same bytes: a writer that finds the final
 // file already present simply discards its copy and reports dup=true —
 // losing the rename is a hit, never a conflict. The "ckpt.write" fault
-// site lets the chaos suite turn the shared store read-only.
+// site (armed by SetFaults) lets the chaos suite turn the shared store
+// read-only.
 func (s *Store) SaveRaw(key string, payload []byte) (dup bool, err error) {
 	if !s.Enabled() {
 		return false, nil
 	}
-	if err := fault.Hit("ckpt.write"); err != nil {
+	if err := s.faults.Hit("ckpt.write"); err != nil {
 		s.count("skip")
 		return false, fmt.Errorf("ckpt: write %s: %w", key, err)
 	}

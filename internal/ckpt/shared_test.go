@@ -147,8 +147,9 @@ func TestSaveRawLoadRawRoundTrip(t *testing.T) {
 // read-only — Save fails cleanly, nothing lands on disk, and the
 // failure counts as a skip (the degraded-mode signal replicas act on).
 func TestCkptWriteFaultSite(t *testing.T) {
+	t.Parallel()
 	s, reg := testStore(t)
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: "ckpt.write", Kind: fault.Error}))()
+	s.SetFaults(fault.NewPlan(fault.Rule{Site: "ckpt.write", Kind: fault.Error}))
 	key := Key("blocked")
 	err := s.Save(key, payload{Name: "blocked"})
 	if err == nil {

@@ -614,7 +614,7 @@ func (sm *sim) run(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
 			}
-			if err := fault.Hit("cluster.run"); err != nil {
+			if err := fault.Hit(ctx, "cluster.run"); err != nil {
 				return err
 			}
 		}

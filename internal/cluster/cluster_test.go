@@ -481,10 +481,10 @@ func TestSimulateCtxDeadlineAbortsEventLoop(t *testing.T) {
 }
 
 func TestSimulateFaultSiteAbortsCleanly(t *testing.T) {
+	t.Parallel()
 	cfg, tasks := chaosWorkload(t)
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "cluster.run", Hit: 2, Kind: fault.Error}))
-	defer restore()
-	_, err := Simulate(cfg, tasks, rng.New(5))
+	ctx := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: "cluster.run", Hit: 2, Kind: fault.Error}))
+	_, err := SimulateCtx(ctx, cfg, tasks, rng.New(5))
 	var inj *fault.InjectedError
 	if !errors.As(err, &inj) {
 		t.Fatalf("err = %v, want injected fault from cluster.run", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -68,7 +69,7 @@ func TestRenderChecks(t *testing.T) {
 // hold at the fast test scale; the full-scale run is the real gate,
 // but a majority must hold even here.
 func TestCheckOnQuickScale(t *testing.T) {
-	results, err := RunAll(sharedCtx)
+	results, err := RunExperiments(context.Background(), sharedCtx, Experiments(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func resilientBuild[T any](c *Context, name string, build func() (T, error)) (T,
 					err = fmt.Errorf("build %s: panic: %v", name, r)
 				}
 			}()
-			if err := fault.Hit("core.build." + name); err != nil {
+			if err := fault.Hit(c.Ctx(), "core.build."+name); err != nil {
 				return zero, err
 			}
 			return build()
@@ -296,7 +296,7 @@ func observedGet[T any](c *Context, name string, cl *cell[T], build func() (T, e
 		built = true
 		// A traced caller (the serving path threads its request trace
 		// through c.Ctx()) gets the build as a trace child; the batch
-		// pipeline keeps its plain AutoTID span with MemStats deltas.
+		// pipeline keeps its plain AutoTID span.
 		sp, _ := c.rec.StartSpan(c.Ctx(), "build:"+name, obs.CatArtifact)
 		start := time.Now()
 		defer func() {
@@ -444,10 +444,4 @@ func Find(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q", id)
-}
-
-// RunAll executes every experiment sequentially against one shared
-// context. It is RunAllParallel with a single worker.
-func RunAll(ctx *Context) ([]*Result, error) {
-	return RunAllParallel(ctx, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRunAllProducesOutput(t *testing.T) {
-	results, err := RunAll(sharedCtx)
+	results, err := RunExperiments(context.Background(), sharedCtx, Experiments(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

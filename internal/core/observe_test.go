@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestExperimentSpansBothRunners(t *testing.T) {
 		ctx := NewContext(tinyConfig())
 		rec := obs.NewRecorder()
 		ctx.SetRecorder(rec)
-		if _, err := RunExperimentsParallel(ctx, exps, workers); err != nil {
+		if _, err := RunExperiments(context.Background(), ctx, exps, RunOptions{Workers: workers}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		expSpans := map[string]int{}
@@ -98,13 +99,13 @@ func TestExperimentSpansBothRunners(t *testing.T) {
 // invariant: a run with a recorder attached is deeply equal — metrics,
 // series, notes and rendered tables — to a run without one.
 func TestInstrumentationDoesNotChangeResults(t *testing.T) {
-	plain, err := RunAllParallel(NewContext(tinyConfig()), 4)
+	plain, err := RunExperiments(context.Background(), NewContext(tinyConfig()), Experiments(), RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewContext(tinyConfig())
 	ctx.SetRecorder(obs.NewRecorder())
-	observed, err := RunAllParallel(ctx, 4)
+	observed, err := RunExperiments(context.Background(), ctx, Experiments(), RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

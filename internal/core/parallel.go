@@ -11,29 +11,6 @@ import (
 	"repro/internal/par"
 )
 
-// RunAllParallel executes every paper experiment against one shared
-// context over a bounded worker pool and returns the results in
-// registry order regardless of completion order. workers <= 0 means
-// GOMAXPROCS; workers == 1 reproduces RunAll's exact serial behavior
-// (inline execution, stop at the first error).
-//
-// Parallel results are byte-identical to serial ones: every artifact
-// an experiment consumes is either memoized once in the Context's
-// lazy cells or derived from a splittable rng child stream keyed only
-// by (seed, label), so no experiment can observe how many neighbours
-// run beside it.
-func RunAllParallel(ctx *Context, workers int) ([]*Result, error) {
-	return RunExperiments(context.Background(), ctx, Experiments(), RunOptions{Workers: workers})
-}
-
-// RunExperimentsParallel is RunExperiments over an explicit experiment
-// list with default fault-tolerance options (no deadline, no
-// checkpointing, abort on first failure), kept for callers that
-// predate RunOptions.
-func RunExperimentsParallel(ctx *Context, exps []Experiment, workers int) ([]*Result, error) {
-	return RunExperiments(context.Background(), ctx, exps, RunOptions{Workers: workers})
-}
-
 // RunOptions configures the fault-tolerant experiment runner.
 type RunOptions struct {
 	// Workers bounds the worker pool (<= 0 means GOMAXPROCS; 1 runs
@@ -106,7 +83,7 @@ func runExperimentProtected(ctx context.Context, c *Context, e Experiment, timeo
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return nil, context.Cause(ctx)
 	}
-	if err := fault.Hit("core.exp." + e.ID); err != nil {
+	if err := fault.Hit(ctx, "core.exp."+e.ID); err != nil {
 		return nil, err
 	}
 	expCtx := ctx
@@ -120,8 +97,12 @@ func runExperimentProtected(ctx context.Context, c *Context, e Experiment, timeo
 
 // RunExperiments is the fault-tolerant runner both the CLI paths use:
 // checkpoint lookup, panic isolation, per-experiment deadlines,
-// keep-going degradation and early cancellation, over 1..N workers.
-// Results come back in list order regardless of completion order.
+// keep-going degradation and early cancellation, over 1..N workers
+// (<= 0 means GOMAXPROCS; 1 runs inline). Results come back in list
+// order regardless of completion order, and are byte-identical to a
+// serial run's: every artifact an experiment consumes is memoized once
+// in c's lazy cells or derived from an rng child stream keyed only by
+// (seed, label), so no experiment can observe its neighbours.
 //
 // Error semantics without KeepGoing mirror the original serial
 // runner's: the returned error is the first failure in list order

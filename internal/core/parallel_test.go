@@ -33,11 +33,11 @@ func renderAll(t *testing.T, results []*Result) string {
 // run is deeply equal — metrics, rendered tables, and series — to a
 // serial run of the same config.
 func TestRunAllParallelDeterminism(t *testing.T) {
-	serial, err := RunAllParallel(NewContext(QuickConfig()), 1)
+	serial, err := RunExperiments(context.Background(), NewContext(QuickConfig()), Experiments(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAllParallel(NewContext(QuickConfig()), 8)
+	parallel, err := RunExperiments(context.Background(), NewContext(QuickConfig()), Experiments(), RunOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunExperimentsParallelErrorPrefix(t *testing.T) {
 	}
 	exps := []Experiment{ok("a"), ok("b"), bad("c"), ok("d"), bad("e")}
 	for _, workers := range []int{1, 4} {
-		results, err := RunExperimentsParallel(NewContext(QuickConfig()), exps, workers)
+		results, err := RunExperiments(context.Background(), NewContext(QuickConfig()), exps, RunOptions{Workers: workers})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
 		}

@@ -20,6 +20,7 @@ import (
 // retried build produces the identical simulation (fresh child streams
 // per attempt make rebuilds deterministic).
 func TestBuildRetryRecoversFromPanic(t *testing.T) {
+	t.Parallel()
 	cfg := tinyConfig()
 	clean := NewContext(cfg)
 	want, err := clean.Sim()
@@ -27,11 +28,10 @@ func TestBuildRetryRecoversFromPanic(t *testing.T) {
 		t.Fatalf("fault-free Sim: %v", err)
 	}
 
-	ctx := NewContext(cfg)
+	plan := fault.NewPlan(fault.Rule{Site: "core.build.sim", Hit: 1, Kind: fault.Panic})
+	ctx := NewContext(cfg).WithContext(fault.With(context.Background(), plan))
 	rec := obs.NewRecorder()
 	ctx.SetRecorder(rec)
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "core.build.sim", Hit: 1, Kind: fault.Panic}))
-	defer restore()
 	got, err := ctx.Sim()
 	if err != nil {
 		t.Fatalf("Sim under injected panic: %v", err)
@@ -51,10 +51,10 @@ func TestBuildRetryRecoversFromPanic(t *testing.T) {
 // TestBuildFailsAfterBoundedRetries: a fault armed on every call
 // exhausts the retry budget and surfaces an attempt-counted error.
 func TestBuildFailsAfterBoundedRetries(t *testing.T) {
-	ctx := NewContext(tinyConfig())
+	t.Parallel()
+	plan := fault.NewPlan(fault.Rule{Site: "core.build.google_tasks", Kind: fault.Error})
+	ctx := NewContext(tinyConfig()).WithContext(fault.With(context.Background(), plan))
 	ctx.SetBuildRetries(1)
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "core.build.google_tasks", Kind: fault.Error}))
-	defer restore()
 	_, err := ctx.GoogleTasks()
 	if err == nil {
 		t.Fatal("want error after exhausted retries")
@@ -282,6 +282,7 @@ func TestFailedResultsNotCheckpointed(t *testing.T) {
 // with keep-going, every experiment that did NOT have a fault injected
 // renders byte-identically to a fault-free run.
 func TestChaosInvariant(t *testing.T) {
+	t.Parallel()
 	cfg := tinyConfig()
 	exps := []Experiment{mustFind(t, "fig2"), mustFind(t, "fig3"), mustFind(t, "fig4"), mustFind(t, "fig5")}
 
@@ -290,9 +291,8 @@ func TestChaosInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restore := fault.Enable(fault.NewPlan(fault.Rule{Site: "core.exp.fig4", Hit: 1, Kind: fault.Panic}))
-	defer restore()
-	chaos, err := RunExperiments(context.Background(), NewContext(cfg), exps, RunOptions{Workers: 4, KeepGoing: true})
+	plan := fault.NewPlan(fault.Rule{Site: "core.exp.fig4", Hit: 1, Kind: fault.Panic})
+	chaos, err := RunExperiments(fault.With(context.Background(), plan), NewContext(cfg), exps, RunOptions{Workers: 4, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}

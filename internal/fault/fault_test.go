@@ -1,26 +1,26 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestHitNoPlanIsNil(t *testing.T) {
-	Disable()
-	if err := Hit("anything"); err != nil {
+	t.Parallel()
+	if err := Hit(context.Background(), "anything"); err != nil {
 		t.Fatalf("Hit with no plan = %v, want nil", err)
 	}
-	if Enabled() {
-		t.Fatal("Enabled() = true with no plan")
+	if err := HitKey(context.Background(), "anything", "k"); err != nil {
+		t.Fatalf("HitKey with no plan = %v, want nil", err)
 	}
 }
 
 func TestErrorRuleFiresOnExactHit(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "s", Hit: 3, Kind: Error}))
-	defer restore()
+	t.Parallel()
+	ctx := With(context.Background(), NewPlan(Rule{Site: "s", Hit: 3, Kind: Error}))
 	for i := 1; i <= 5; i++ {
-		err := Hit("s")
+		err := Hit(ctx, "s")
 		if i == 3 {
 			var inj *InjectedError
 			if !errors.As(err, &inj) {
@@ -36,18 +36,18 @@ func TestErrorRuleFiresOnExactHit(t *testing.T) {
 }
 
 func TestHitZeroFiresEveryCall(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "s", Kind: Error}))
-	defer restore()
+	t.Parallel()
+	ctx := With(context.Background(), NewPlan(Rule{Site: "s", Kind: Error}))
 	for i := 0; i < 3; i++ {
-		if err := Hit("s"); err == nil {
+		if err := Hit(ctx, "s"); err == nil {
 			t.Fatalf("call %d: want injected error", i)
 		}
 	}
 }
 
 func TestPanicRule(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "p", Hit: 1, Kind: Panic}))
-	defer restore()
+	t.Parallel()
+	ctx := With(context.Background(), NewPlan(Rule{Site: "p", Hit: 1, Kind: Panic}))
 	defer func() {
 		r := recover()
 		ip, ok := r.(*InjectedPanic)
@@ -58,85 +58,68 @@ func TestPanicRule(t *testing.T) {
 			t.Fatalf("injected panic = %+v", ip)
 		}
 	}()
-	Hit("p")
+	Hit(ctx, "p")
 	t.Fatal("Hit did not panic")
 }
 
-func TestDelayRule(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "d", Hit: 1, Kind: Delay, Delay: 10 * time.Millisecond}))
-	defer restore()
-	start := time.Now()
-	if err := Hit("d"); err != nil {
-		t.Fatalf("delay rule returned error: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("delay rule slept %v, want >= 10ms", elapsed)
-	}
-}
-
 func TestUnarmedSiteUnaffected(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "s", Hit: 1, Kind: Error}))
-	defer restore()
-	if err := Hit("other"); err != nil {
+	t.Parallel()
+	ctx := With(context.Background(), NewPlan(Rule{Site: "s", Hit: 1, Kind: Error}))
+	if err := Hit(ctx, "other"); err != nil {
 		t.Fatalf("unarmed site returned %v", err)
 	}
 }
 
-func TestRandomPlanDeterministic(t *testing.T) {
-	sites := []string{"a", "b", "c", "d", "e", "f"}
-	p1 := RandomPlan(42, sites, 0.5, 10).Rules()
-	p2 := RandomPlan(42, sites, 0.5, 10).Rules()
-	if len(p1) != len(p2) {
-		t.Fatalf("rule counts differ: %d vs %d", len(p1), len(p2))
+// TestPlansArePerContext: two contexts armed with their own plans keep
+// their own hit counts, and a context derived from an armed one shares
+// its plan while its parent's siblings see none.
+func TestPlansArePerContext(t *testing.T) {
+	t.Parallel()
+	a := With(context.Background(), NewPlan(Rule{Site: "s", Hit: 2, Kind: Error}))
+	b := With(context.Background(), NewPlan(Rule{Site: "s", Hit: 1, Kind: Error}))
+	if err := Hit(a, "s"); err != nil {
+		t.Fatalf("a hit 1 = %v, want nil", err)
 	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("rule %d differs: %+v vs %+v", i, p1[i], p2[i])
-		}
+	if err := Hit(b, "s"); err == nil {
+		t.Fatal("b hit 1 = nil: b's count was advanced by a's hit")
 	}
-	// A different seed should (for this site set) give a different plan.
-	p3 := RandomPlan(43, sites, 0.5, 10).Rules()
-	same := len(p1) == len(p3)
-	if same {
-		for i := range p1 {
-			if p1[i] != p3[i] {
-				same = false
-				break
-			}
-		}
+	child, cancel := context.WithCancel(a)
+	defer cancel()
+	if err := Hit(child, "s"); err == nil {
+		t.Fatal("a's hit 2, reached through a derived context, = nil")
 	}
-	if same && len(p1) > 0 {
-		t.Fatal("seeds 42 and 43 produced identical non-empty plans")
+	if err := Hit(context.Background(), "s"); err != nil {
+		t.Fatalf("unarmed context = %v, want nil", err)
 	}
 }
 
-func TestEnableRestores(t *testing.T) {
-	Disable()
-	restore := Enable(NewPlan(Rule{Site: "s", Hit: 1, Kind: Error}))
-	if !Enabled() {
-		t.Fatal("Enabled() = false after Enable")
+// TestNilPlanHit: components without a context hold their plan
+// directly; a nil plan arms nothing.
+func TestNilPlanHit(t *testing.T) {
+	t.Parallel()
+	var p *Plan
+	if err := p.Hit("s"); err != nil {
+		t.Fatalf("nil plan Hit = %v, want nil", err)
 	}
-	restore()
-	if Enabled() {
-		t.Fatal("Enabled() = true after restore")
+	if err := NewPlan(Rule{Site: "s", Hit: 1, Kind: Error}).Hit("s"); err == nil {
+		t.Fatal("armed plan's direct Hit = nil, want the injected error")
 	}
 }
 
 func TestHitKeyAimsAtOneKey(t *testing.T) {
-	restore := Enable(NewPlan(Rule{Site: "s@b", Hit: 1, Kind: Error}))
-	defer restore()
-	if err := HitKey("s", "a"); err != nil {
+	t.Parallel()
+	ctx := With(context.Background(), NewPlan(Rule{Site: "s@b", Hit: 1, Kind: Error}))
+	if err := HitKey(ctx, "s", "a"); err != nil {
 		t.Fatalf("HitKey(s, a) = %v, want nil: the rule is aimed at key b", err)
 	}
-	if err := HitKey("s", "b"); err == nil {
+	if err := HitKey(ctx, "s", "b"); err == nil {
 		t.Fatal("HitKey(s, b) = nil, want the injected error")
 	}
-	restore2 := Enable(NewPlan(Rule{Site: "s", Hit: 2, Kind: Error}))
-	defer restore2()
-	if err := HitKey("s", "a"); err != nil {
+	ctx = With(context.Background(), NewPlan(Rule{Site: "s", Hit: 2, Kind: Error}))
+	if err := HitKey(ctx, "s", "a"); err != nil {
 		t.Fatalf("first HitKey = %v, want nil", err)
 	}
-	if err := HitKey("s", "b"); err == nil {
+	if err := HitKey(ctx, "s", "b"); err == nil {
 		t.Fatal("second HitKey = nil, want the site-wide rule to fire on any key")
 	}
 }

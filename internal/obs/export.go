@@ -8,43 +8,26 @@ import (
 	"slices"
 )
 
-// encodeSnapshot streams every metric in the registry's stable
-// snapshot order through enc, one object per call.
-func (r *Registry) encodeSnapshot(enc *json.Encoder) error {
-	for _, m := range r.Snapshot() {
+// WriteMetricsJSONL writes the registry snapshot, in its stable order,
+// followed by every span, one JSON object per line. Metric lines carry
+// "type" counter/gauge/histogram; span lines carry "type":"span".
+func (r *Recorder) WriteMetricsJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
+	for _, m := range r.Registry().Snapshot() {
 		if err := enc.Encode(m); err != nil {
 			return fmt.Errorf("obs: encode metric %s: %w", m.Name, err)
 		}
 	}
-	return nil
-}
-
-// WriteJSONL writes the registry's current metric snapshot as JSONL
-// (one counter/gauge/histogram object per line) — the wire format of
-// the serving daemon's /metrics endpoint, which exports metrics only:
-// a long-running process snapshots its registry on demand without
-// dragging the span buffer along. A nil registry writes nothing.
-func (r *Registry) WriteJSONL(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	if err := r.encodeSnapshot(json.NewEncoder(bw)); err != nil {
+	if err := encodeSpans(enc, r.Spans()); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// WriteMetricsJSONL writes the registry snapshot followed by every
-// span, one JSON object per line. Metric lines carry "type"
-// counter/gauge/histogram; span lines carry "type":"span".
-func (r *Recorder) WriteMetricsJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
-	if err := r.Registry().encodeSnapshot(enc); err != nil {
-		return err
-	}
-	for _, sp := range r.Spans() {
+// encodeSpans streams spans through enc as "type":"span" objects.
+func encodeSpans(enc *json.Encoder, spans []SpanRecord) error {
+	for _, sp := range spans {
 		line := struct {
 			Type string `json:"type"`
 			SpanRecord
@@ -53,7 +36,7 @@ func (r *Recorder) WriteMetricsJSONL(w io.Writer) error {
 			return fmt.Errorf("obs: encode span %s: %w", sp.Name, err)
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // chromeEvent is one trace_event entry. Only the fields Perfetto and
@@ -82,15 +65,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // /debug/trace endpoints (a poller resumes from the last Seq it saw).
 func WriteSpansJSONL(w io.Writer, spans []SpanRecord) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range spans {
-		line := struct {
-			Type string `json:"type"`
-			SpanRecord
-		}{Type: "span", SpanRecord: sp}
-		if err := enc.Encode(line); err != nil {
-			return fmt.Errorf("obs: encode span %s: %w", sp.Name, err)
-		}
+	if err := encodeSpans(json.NewEncoder(bw), spans); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -134,17 +110,8 @@ func WriteSpansChromeTrace(w io.Writer, spans []SpanRecord) error {
 			Name: sp.Name, Cat: sp.Cat, Ph: "X",
 			TS: sp.StartUS, Dur: sp.DurUS, PID: 1, TID: sp.TID,
 		}
-		if sp.AllocBytes != 0 || sp.Mallocs != 0 || sp.NumGC != 0 {
-			ev.Args = map[string]any{
-				"alloc_bytes": sp.AllocBytes,
-				"mallocs":     sp.Mallocs,
-				"num_gc":      sp.NumGC,
-			}
-		}
 		if sp.TraceID != "" {
-			if ev.Args == nil {
-				ev.Args = make(map[string]any, 4)
-			}
+			ev.Args = make(map[string]any, 4)
 			ev.Args["trace_id"] = sp.TraceID
 			ev.Args["span_id"] = sp.SpanID
 			if sp.ParentID != "" {

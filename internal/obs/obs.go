@@ -1,8 +1,8 @@
 // Package obs is the reproduction's observability substrate: a
 // dependency-free metrics registry (counters, gauges, fixed-bucket
-// histograms), span-based stage tracing with runtime.MemStats deltas,
-// and exporters for JSONL and the Chrome trace_event format (openable
-// in chrome://tracing and Perfetto).
+// histograms), span-based stage tracing of wall time, and exporters
+// for JSONL and the Chrome trace_event format (openable in
+// chrome://tracing and Perfetto).
 //
 // Instrumentation is strictly additive: nothing in this package draws
 // from the experiment random streams or feeds back into analysis

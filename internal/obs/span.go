@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +23,8 @@ const (
 // lane, for work not pinned to a worker (artifact builds).
 const AutoTID = -1
 
-// SpanRecord is one finished span: what ran, where (trace lane), when
-// (relative to the recorder's epoch), and what it cost. The MemStats
-// deltas are process-wide (runtime.ReadMemStats), so concurrent spans
-// each see the whole process's allocation traffic; they are intended as
-// a per-stage cost profile, not an exact attribution.
+// SpanRecord is one finished span: what ran, where (trace lane), and
+// when and for how long (relative to the recorder's epoch).
 type SpanRecord struct {
 	Name string `json:"name"`
 	Cat  string `json:"cat"`
@@ -36,10 +32,6 @@ type SpanRecord struct {
 
 	StartUS int64 `json:"start_us"` // µs since the recorder's epoch
 	DurUS   int64 `json:"dur_us"`
-
-	AllocBytes int64  `json:"alloc_bytes"` // MemStats.TotalAlloc delta
-	Mallocs    int64  `json:"mallocs"`     // MemStats.Mallocs delta
-	NumGC      uint32 `json:"num_gc"`      // MemStats.NumGC delta
 
 	// Trace identity, set only for request-scoped spans (empty for the
 	// batch pipeline's untraced spans; omitted from JSON when empty so
@@ -113,13 +105,11 @@ type Span struct {
 	cat   string
 	tid   int
 	start time.Time
-	m0    runtime.MemStats
 
 	// Trace fields (zero for untraced batch spans).
 	sc                  SpanContext
 	parent              string
 	linkTrace, linkSpan string
-	noMem               bool // traced spans skip the STW MemStats reads
 }
 
 // Span starts a span. tid selects the Chrome-trace lane: par workers
@@ -131,9 +121,7 @@ func (r *Recorder) Span(name, cat string, tid int) *Span {
 	if tid == AutoTID {
 		tid = int(r.nextAuto.Add(1))
 	}
-	s := &Span{rec: r, name: name, cat: cat, tid: tid, start: time.Now()}
-	runtime.ReadMemStats(&s.m0)
-	return s
+	return &Span{rec: r, name: name, cat: cat, tid: tid, start: time.Now()}
 }
 
 // End finishes the span and records it.
@@ -141,32 +129,22 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := time.Now()
-	rec := SpanRecord{
+	s.rec.addRecord(SpanRecord{
 		Name:        s.name,
 		Cat:         s.cat,
 		TID:         s.tid,
 		StartUS:     s.start.Sub(s.rec.epoch).Microseconds(),
-		DurUS:       end.Sub(s.start).Microseconds(),
+		DurUS:       time.Since(s.start).Microseconds(),
 		TraceID:     s.sc.TraceID,
 		SpanID:      s.sc.SpanID,
 		ParentID:    s.parent,
 		LinkTraceID: s.linkTrace,
 		LinkSpanID:  s.linkSpan,
-	}
-	if !s.noMem {
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		rec.AllocBytes = int64(m1.TotalAlloc - s.m0.TotalAlloc)
-		rec.Mallocs = int64(m1.Mallocs - s.m0.Mallocs)
-		rec.NumGC = m1.NumGC - s.m0.NumGC
-	}
-	s.rec.addRecord(rec)
+	})
 }
 
 // AddSpan records an already-measured interval (used by the par
 // observer, whose worker intervals are timed inside the loop itself).
-// No MemStats are attributed to such spans.
 func (r *Recorder) AddSpan(name, cat string, tid int, start time.Time, dur time.Duration) {
 	if r == nil {
 		return
@@ -296,17 +274,14 @@ func (r *Recorder) SpansSince(after uint64) []SpanRecord {
 
 // SpanSummary aggregates the spans sharing one name.
 type SpanSummary struct {
-	Name       string
-	Cat        string
-	Count      int
-	Wall       time.Duration
-	AllocBytes int64
-	Mallocs    int64
-	NumGC      uint32
+	Name  string
+	Cat   string
+	Count int
+	Wall  time.Duration
 }
 
 // Summarize groups spans by name (first-seen order preserved) and sums
-// wall time and allocation deltas — the rows of the CLI timing table.
+// wall time — the rows of the CLI timing table.
 func (r *Recorder) Summarize() []SpanSummary {
 	if r == nil {
 		return nil
@@ -324,9 +299,6 @@ func (r *Recorder) Summarize() []SpanSummary {
 		}
 		out[i].Count++
 		out[i].Wall += time.Duration(sp.DurUS) * time.Microsecond
-		out[i].AllocBytes += sp.AllocBytes
-		out[i].Mallocs += sp.Mallocs
-		out[i].NumGC += sp.NumGC
 	}
 	return out
 }

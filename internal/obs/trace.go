@@ -215,9 +215,6 @@ func (r *Recorder) NewSpanID() string {
 // ContextWithSpan), the new span continues that trace as a child;
 // otherwise it roots a brand-new trace. The returned context carries
 // the new span, so every StartSpan below it becomes a descendant.
-//
-// Traced spans measure wall time only — no runtime.MemStats snapshot,
-// whose stop-the-world read is too expensive per request.
 func (r *Recorder) StartRequestSpan(ctx context.Context, name, cat string) (*Span, context.Context) {
 	if r == nil {
 		return nil, ctx
@@ -227,7 +224,7 @@ func (r *Recorder) StartRequestSpan(ctx context.Context, name, cat string) (*Spa
 	}
 	sc := SpanContext{TraceID: r.NewTraceID(), SpanID: r.NewSpanID()}
 	tid := int(r.nextAuto.Add(1))
-	s := &Span{rec: r, name: name, cat: cat, tid: tid, sc: sc, noMem: true, start: time.Now()}
+	s := &Span{rec: r, name: name, cat: cat, tid: tid, sc: sc, start: time.Now()}
 	return s, context.WithValue(ctx, traceCtxKey{}, traceCtxVal{sc: sc, tid: tid})
 }
 
@@ -256,8 +253,7 @@ func (r *Recorder) startChild(ctx context.Context, name, cat string, parent trac
 	sc := SpanContext{TraceID: parent.sc.TraceID, SpanID: r.NewSpanID()}
 	s := &Span{
 		rec: r, name: name, cat: cat, tid: tid,
-		sc: sc, parent: parent.sc.SpanID, noMem: true,
-		start: time.Now(),
+		sc: sc, parent: parent.sc.SpanID, start: time.Now(),
 	}
 	return s, context.WithValue(ctx, traceCtxKey{}, traceCtxVal{sc: sc, tid: tid})
 }

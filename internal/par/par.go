@@ -21,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fault"
 )
 
 // Workers normalises a requested worker count: values <= 0 mean
@@ -85,12 +83,9 @@ func ForEachObserved(name string, n, workers int, obs Observer, fn func(i, worke
 		return nil
 	})
 	if err != nil {
-		// fn never returns an error here, so any failure is a wrapped
-		// panic (or an injected fault, which we surface the same way).
-		if pv, ok := err.(*panicError); ok {
-			panic(pv.value)
-		}
-		panic(err)
+		// fn never returns an error and the context never ends, so any
+		// failure is a wrapped panic: re-raise its value.
+		panic(err.(*panicError).value)
 	}
 }
 
@@ -165,10 +160,6 @@ func ForEachCtx(ctx context.Context, name string, n, workers int, obs Observer, 
 				if i >= n {
 					return
 				}
-				if err := fault.Hit("par.claim"); err != nil {
-					record(int64(i), err)
-					return
-				}
 				var (
 					itemErr error
 					start   time.Time
@@ -230,9 +221,6 @@ func forEachSerial(ctx context.Context, name string, n int, obs Observer, fn fun
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
-		}
-		if err := fault.Hit("par.claim"); err != nil {
-			return err
 		}
 		if err := fn(ctx, i, 0); err != nil {
 			return err

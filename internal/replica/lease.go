@@ -72,8 +72,8 @@ func (l *leaseDir) path(key string, gen int) string {
 // A non-nil err means the lease infrastructure itself failed —
 // unwritable directory, injected fault — and the caller degrades to an
 // uncoordinated local build.
-func (l *leaseDir) tryAcquire(key string) (held bool, cur leaseRecord, takeover bool, err error) {
-	if err := fault.Hit(SiteLeaseAcquire); err != nil {
+func (l *leaseDir) tryAcquire(ctx context.Context, key string) (held bool, cur leaseRecord, takeover bool, err error) {
+	if err := fault.Hit(ctx, SiteLeaseAcquire); err != nil {
 		return false, leaseRecord{}, false, err
 	}
 	// Two rounds: losing a link means another replica claimed that
@@ -204,8 +204,8 @@ func (l *leaseDir) superseded(key string, mine leaseRecord) (bool, error) {
 // returns the renewed record. ErrLeaseLost means another replica owns
 // the key now; other errors mean the heartbeat could not reach the
 // directory.
-func (l *leaseDir) renew(key string, mine leaseRecord) (leaseRecord, error) {
-	if err := fault.HitKey(SiteLeaseRenew, key); err != nil {
+func (l *leaseDir) renew(ctx context.Context, key string, mine leaseRecord) (leaseRecord, error) {
+	if err := fault.HitKey(ctx, SiteLeaseRenew, key); err != nil {
 		return mine, err
 	}
 	lost, err := l.superseded(key, mine)
@@ -241,8 +241,8 @@ func (l *leaseDir) renew(key string, mine leaseRecord) (leaseRecord, error) {
 // fault site) leaves a live-looking lease behind; the next claimant
 // waits out the TTL and takes over, so a lost release costs latency,
 // never correctness.
-func (l *leaseDir) release(key string, mine leaseRecord, stored bool) error {
-	if err := fault.Hit(SiteLeaseRelease); err != nil {
+func (l *leaseDir) release(ctx context.Context, key string, mine leaseRecord, stored bool) error {
+	if err := fault.Hit(ctx, SiteLeaseRelease); err != nil {
 		return err
 	}
 	b, err := os.ReadFile(l.path(key, mine.gen))

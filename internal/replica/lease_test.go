@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -29,31 +30,31 @@ func TestLeaseAcquireReleaseCycle(t *testing.T) {
 	_, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	held, mine, takeover, err := a.tryAcquire("k1")
+	held, mine, takeover, err := a.tryAcquire(context.Background(), "k1")
 	if err != nil || !held || takeover {
 		t.Fatalf("a.tryAcquire: held=%v takeover=%v err=%v", held, takeover, err)
 	}
-	held, cur, _, err := b.tryAcquire("k1")
+	held, cur, _, err := b.tryAcquire(context.Background(), "k1")
 	if err != nil || held {
 		t.Fatalf("b.tryAcquire while a holds: held=%v err=%v", held, err)
 	}
 	if cur.Owner != "a" {
 		t.Fatalf("cur.Owner = %q, want a", cur.Owner)
 	}
-	if err := a.release("k1", mine, true); err != nil {
+	if err := a.release(context.Background(), "k1", mine, true); err != nil {
 		t.Fatalf("a.release: %v", err)
 	}
-	held, mine, takeover, err = b.tryAcquire("k1")
+	held, mine, takeover, err = b.tryAcquire(context.Background(), "k1")
 	if err != nil || !held || takeover {
 		t.Fatalf("b.tryAcquire after release: held=%v takeover=%v err=%v", held, takeover, err)
 	}
 	// A release without a stored result leaves a released record,
 	// which the next claimant supersedes at once and does not count as
 	// a takeover.
-	if err := b.release("k1", mine, false); err != nil {
+	if err := b.release(context.Background(), "k1", mine, false); err != nil {
 		t.Fatalf("b.release: %v", err)
 	}
-	held, _, takeover, err = a.tryAcquire("k1")
+	held, _, takeover, err = a.tryAcquire(context.Background(), "k1")
 	if err != nil || !held || takeover {
 		t.Fatalf("a.tryAcquire after unstored release: held=%v takeover=%v err=%v", held, takeover, err)
 	}
@@ -63,25 +64,25 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	held, mine, _, _ := a.tryAcquire("k")
+	held, mine, _, _ := a.tryAcquire(context.Background(), "k")
 	if !held {
 		t.Fatal("a could not acquire a fresh key")
 	}
 	clk.advance(150 * time.Millisecond) // past the 100ms TTL
-	held, bLease, takeover, err := b.tryAcquire("k")
+	held, bLease, takeover, err := b.tryAcquire(context.Background(), "k")
 	if err != nil || !held || !takeover {
 		t.Fatalf("b after expiry: held=%v takeover=%v err=%v", held, takeover, err)
 	}
 	// a's renewal must now fail: the key belongs to b.
-	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
+	if _, err := a.renew(context.Background(), "k", mine); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("a.renew after takeover: err=%v, want ErrLeaseLost", err)
 	}
 	// Still lost once b has stored the result and deleted every
 	// generation, and the failed renewal does not bring a's back.
-	if err := b.release("k", bLease, true); err != nil {
+	if err := b.release(context.Background(), "k", bLease, true); err != nil {
 		t.Fatalf("b.release: %v", err)
 	}
-	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
+	if _, err := a.renew(context.Background(), "k", mine); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("a.renew after b's stored release: err=%v, want ErrLeaseLost", err)
 	}
 	if _, ok, _ := a.read("k"); ok {
@@ -97,20 +98,20 @@ func TestLeaseReclaimedGenerationStaysSuperseded(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b", "c")
 	a, b, c := ld[0], ld[1], ld[2]
 
-	_, mine, _, _ := a.tryAcquire("k")
+	_, mine, _, _ := a.tryAcquire(context.Background(), "k")
 	clk.advance(150 * time.Millisecond)
-	_, bLease, _, _ := b.tryAcquire("k")
-	if err := b.release("k", bLease, true); err != nil {
+	_, bLease, _, _ := b.tryAcquire(context.Background(), "k")
+	if err := b.release(context.Background(), "k", bLease, true); err != nil {
 		t.Fatalf("b.release: %v", err)
 	}
-	held, cLease, _, err := c.tryAcquire("k")
+	held, cLease, _, err := c.tryAcquire(context.Background(), "k")
 	if err != nil || !held || cLease.gen != mine.gen {
 		t.Fatalf("c.tryAcquire: held=%v gen=%d err=%v, want generation %d", held, cLease.gen, err, mine.gen)
 	}
 	if lost, err := a.superseded("k", mine); err != nil || !lost {
 		t.Fatalf("a.superseded with c holding the reclaimed generation: lost=%v err=%v, want true", lost, err)
 	}
-	if _, err := a.renew("k", mine); !errors.Is(err, ErrLeaseLost) {
+	if _, err := a.renew(context.Background(), "k", mine); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("a.renew: err=%v, want ErrLeaseLost", err)
 	}
 	if rec, _, _ := c.read("k"); rec.Owner != "c" {
@@ -122,19 +123,19 @@ func TestLeaseRenewExtendsDeadline(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
 
-	held, mine, _, _ := a.tryAcquire("k")
+	held, mine, _, _ := a.tryAcquire(context.Background(), "k")
 	if !held {
 		t.Fatal("acquire failed")
 	}
 	clk.advance(80 * time.Millisecond)
-	mine, err := a.renew("k", mine)
+	mine, err := a.renew(context.Background(), "k", mine)
 	if err != nil || mine.Seq != 2 {
 		t.Fatalf("renew: seq=%d err=%v", mine.Seq, err)
 	}
 	// Past the original deadline but inside the renewed one: b must
 	// still see a live holder.
 	clk.advance(80 * time.Millisecond)
-	held, cur, takeover, err := b.tryAcquire("k")
+	held, cur, takeover, err := b.tryAcquire(context.Background(), "k")
 	if err != nil || held || takeover {
 		t.Fatalf("b inside renewed lease: held=%v takeover=%v err=%v", held, takeover, err)
 	}
@@ -156,7 +157,7 @@ func TestLeaseUnparseableFileReadsAsExpired(t *testing.T) {
 	if !rec.expired(a.now()) {
 		t.Fatal("unparseable lease did not read as expired")
 	}
-	held, _, takeover, err := a.tryAcquire("k")
+	held, _, takeover, err := a.tryAcquire(context.Background(), "k")
 	if err != nil || !held || !takeover {
 		t.Fatalf("tryAcquire over garbage: held=%v takeover=%v err=%v", held, takeover, err)
 	}
@@ -165,14 +166,14 @@ func TestLeaseUnparseableFileReadsAsExpired(t *testing.T) {
 func TestLeaseReleaseIgnoresForeignLease(t *testing.T) {
 	_, ld := testLeases(t, "a", "b")
 	a, b := ld[0], ld[1]
-	held, mine, _, _ := a.tryAcquire("k")
+	held, mine, _, _ := a.tryAcquire(context.Background(), "k")
 	if !held {
 		t.Fatal("acquire failed")
 	}
 	// b names a's generation but is not its owner.
 	foreign := leaseRecord{Owner: "b", gen: mine.gen}
 	for _, stored := range []bool{true, false} {
-		if err := b.release("k", foreign, stored); err != nil {
+		if err := b.release(context.Background(), "k", foreign, stored); err != nil {
 			t.Fatalf("b.release(stored=%v): %v", stored, err)
 		}
 		if cur, ok, _ := a.read("k"); !ok || cur != mine {
@@ -188,12 +189,12 @@ func TestLeaseLateClaimantCannotDisplace(t *testing.T) {
 	clk, ld := testLeases(t, "a", "b", "c")
 	a, b, c := ld[0], ld[1], ld[2]
 
-	if held, _, _, _ := a.tryAcquire("k"); !held {
+	if held, _, _, _ := a.tryAcquire(context.Background(), "k"); !held {
 		t.Fatal("a could not acquire a fresh key")
 	}
 	stale, _, _ := c.read("k")
 	clk.advance(150 * time.Millisecond)
-	held, mine, takeover, err := b.tryAcquire("k")
+	held, mine, takeover, err := b.tryAcquire(context.Background(), "k")
 	if err != nil || !held || !takeover || mine.gen != 2 {
 		t.Fatalf("b after expiry: held=%v takeover=%v gen=%d err=%v", held, takeover, mine.gen, err)
 	}
@@ -201,11 +202,11 @@ func TestLeaseLateClaimantCannotDisplace(t *testing.T) {
 	if _, created, err := c.create("k", stale.gen+1); err != nil || created {
 		t.Fatalf("late c.create: created=%v err=%v, want the link refused", created, err)
 	}
-	if held, cur, _, _ := c.tryAcquire("k"); held || cur != mine {
+	if held, cur, _, _ := c.tryAcquire(context.Background(), "k"); held || cur != mine {
 		t.Fatalf("c.tryAcquire while b holds: held=%v cur=%+v, want b's lease", held, cur)
 	}
 	// A stored result retires every generation.
-	if err := b.release("k", mine, true); err != nil {
+	if err := b.release(context.Background(), "k", mine, true); err != nil {
 		t.Fatalf("b.release: %v", err)
 	}
 	leftovers, _ := os.ReadDir(a.dir)

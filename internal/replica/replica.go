@@ -235,7 +235,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 		if err := ctx.Err(); err != nil {
 			return nil, SourceNone, context.Cause(ctx)
 		}
-		held, cur, takeover, err := c.leases.tryAcquire(key)
+		held, cur, takeover, err := c.leases.tryAcquire(ctx, key)
 		if err != nil {
 			// Lease infrastructure down (unwritable dir, injected
 			// fault): correctness over coordination — build here,
@@ -254,7 +254,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 			// published and released between our store miss and this
 			// claim. Building now would be the key's second build.
 			if v, ok := c.loadStore(key, newV); ok {
-				c.leases.release(key, cur, true)
+				c.leases.release(ctx, key, cur, true)
 				return v, SourceStore, nil
 			}
 			v, lost, err := c.buildLeased(ctx, key, cur, build)
@@ -313,7 +313,7 @@ func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRec
 	if err != nil {
 		// Give the next claimant a clean shot instead of making it
 		// wait out the TTL.
-		c.leases.release(key, mine, false)
+		c.leases.release(ctx, key, mine, false)
 		return nil, false, err
 	}
 	// The build may have finished between a takeover and the next
@@ -326,7 +326,7 @@ func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRec
 	}
 	c.buildDone.Add(1)
 	stored := c.publish(key, v)
-	c.leases.release(key, mine, stored)
+	c.leases.release(ctx, key, mine, stored)
 	return v, false, nil
 }
 
@@ -387,7 +387,7 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine lease
 				return
 			case <-t.C:
 				var err error
-				mine, err = c.leases.renew(key, mine)
+				mine, err = c.leases.renew(ctx, key, mine)
 				if err != nil {
 					if errors.Is(err, ErrLeaseLost) {
 						c.leaseLost.Add(1)

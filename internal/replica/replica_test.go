@@ -150,15 +150,16 @@ func TestConcurrentReplicasBuildOnce(t *testing.T) {
 // serves the bytes a clean serial build produces, with no duplicate
 // store write.
 func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
 	b := testCoordinator(t, dir, "r1")
 	key := ckpt.Key("replica", "takeover")
 
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseRenew, Hit: 1, Kind: fault.Error}))()
-
+	// Only A's calls carry the plan: B's heartbeat renews normally.
+	plan := fault.NewPlan(fault.Rule{Site: SiteLeaseRenew, Hit: 1, Kind: fault.Error})
 	building := make(chan struct{})
-	actx, kill := context.WithCancel(context.Background())
+	actx, kill := context.WithCancel(fault.With(context.Background(), plan))
 	defer kill()
 	var aErr error
 	done := make(chan struct{})
@@ -383,9 +384,10 @@ func TestStorelessDoBuildsImmediately(t *testing.T) {
 }
 
 func TestUnwritableStoreDegradesButServes(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteCkptWrite, Kind: fault.Error}))()
+	a.store.SetFaults(fault.NewPlan(fault.Rule{Site: SiteCkptWrite, Kind: fault.Error}))
 
 	key := ckpt.Key("replica", "readonly")
 	v, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil))
@@ -408,12 +410,13 @@ func TestUnwritableStoreDegradesButServes(t *testing.T) {
 }
 
 func TestLeaseInfraDownDegradesToUncoordinatedBuild(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Kind: fault.Error}))()
+	ctx := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Kind: fault.Error}))
 
 	var calls atomic.Int64
-	_, src, err := a.Do(context.Background(), ckpt.Key("replica", "noleases"), newArtifact, buildArtifact("noleases", &calls))
+	_, src, err := a.Do(ctx, ckpt.Key("replica", "noleases"), newArtifact, buildArtifact("noleases", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
@@ -424,13 +427,13 @@ func TestLeaseInfraDownDegradesToUncoordinatedBuild(t *testing.T) {
 }
 
 func TestDegradationClearsOnRecovery(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
-	off := fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Hit: 1, Kind: fault.Error}))
-	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip1"), newArtifact, buildArtifact("dip1", nil)); src != SourceBuildUnleased {
+	faulted := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Hit: 1, Kind: fault.Error}))
+	if _, src, _ := a.Do(faulted, ckpt.Key("replica", "dip1"), newArtifact, buildArtifact("dip1", nil)); src != SourceBuildUnleased {
 		t.Fatalf("faulted Do src = %v", src)
 	}
-	off()
 	if len(a.Degraded()) != 1 {
 		t.Fatalf("Degraded() = %v, want the lease dip recorded", a.Degraded())
 	}
@@ -451,6 +454,7 @@ func TestDegradationClearsOnRecovery(t *testing.T) {
 // over, no store write was duplicated, and every replica serves
 // byte-identical artifacts.
 func TestChaosKilledLeaderConverges(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	reps := []*Coordinator{
 		testCoordinator(t, dir, "r0"),
@@ -464,18 +468,16 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 	victim := keys[0]
 
 	// The chaos rule: the victim key's first heartbeat renewal fails,
-	// killing its builder's lease while the build hangs. The rule is
-	// aimed at the victim's key: a builder of another key whose
-	// heartbeat fires (it was descheduled past one heartbeat period)
-	// must not consume the fault, or the victim's lease would never
-	// expire.
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: SiteLeaseRenew + "@" + victim, Hit: 1, Kind: fault.Error}))()
+	// killing its builder's lease while the build hangs. Only the doomed
+	// leader's request carries the plan, so no other build's heartbeat
+	// can consume the fault.
+	plan := fault.NewPlan(fault.Rule{Site: SiteLeaseRenew, Hit: 1, Kind: fault.Error})
 
 	// The victim key's first builder hangs until killed; every other
 	// build (and the victim's rebuild) completes normally.
 	var firstVictimBuild atomic.Bool
 	building := make(chan struct{})
-	actx, kill := context.WithCancel(context.Background())
+	actx, kill := context.WithCancel(fault.With(context.Background(), plan))
 	defer kill()
 	buildFor := func(key string, calls *atomic.Int64) func(context.Context) (any, error) {
 		return func(ctx context.Context) (any, error) {

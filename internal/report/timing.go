@@ -5,35 +5,23 @@ import (
 	"time"
 )
 
-// TimingRow is one pipeline stage's (or experiment's) timing and
-// allocation summary, as measured by internal/obs.
+// TimingRow is one pipeline stage's (or experiment's) timing summary,
+// as measured by internal/obs.
 type TimingRow struct {
-	Name       string
-	Count      int
-	Wall       time.Duration
-	AllocBytes int64
-	Mallocs    int64
-	GCs        int64
+	Name  string
+	Count int
+	Wall  time.Duration
 }
 
 // TimingTable renders timing rows as the CLI/markdown summary table.
-// The allocation columns are process-wide MemStats deltas over each
-// stage — a cost profile, not an exact attribution.
 func TimingTable(rows []TimingRow) *Table {
 	t := &Table{
 		ID:      "timing",
-		Title:   "Per-stage wall time and allocations",
-		Columns: []string{"stage", "n", "wall", "alloc", "mallocs", "gc"},
+		Title:   "Per-stage wall time",
+		Columns: []string{"stage", "n", "wall"},
 	}
 	for _, r := range rows {
-		t.AddRow(
-			r.Name,
-			fmt.Sprintf("%d", r.Count),
-			Dur(r.Wall),
-			Bytes(r.AllocBytes),
-			fmt.Sprintf("%d", r.Mallocs),
-			fmt.Sprintf("%d", r.GCs),
-		)
+		t.AddRow(r.Name, fmt.Sprintf("%d", r.Count), Dur(r.Wall))
 	}
 	return t
 }

@@ -22,7 +22,7 @@ import (
 
 // replicaServer boots one multi-replica daemon over the shared dir,
 // returning the test server and the coordinator behind it.
-func replicaServer(t *testing.T, dir, id string, exps []core.Experiment) (*httptest.Server, *Server, *replica.Coordinator) {
+func replicaServer(t *testing.T, dir, id string, exps []core.Experiment) (*httptest.Server, *ckpt.Store, *replica.Coordinator) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	store, err := ckpt.NewStore(dir, rec.Registry())
@@ -39,7 +39,7 @@ func replicaServer(t *testing.T, dir, id string, exps []core.Experiment) (*httpt
 	srv := New(Config{Base: tinyConfig(), Experiments: exps, Store: store, Replica: coord, Rec: rec})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, srv, coord
+	return ts, store, coord
 }
 
 // TestTwoReplicasServeIdenticalBytes: one replica builds, the sibling
@@ -72,9 +72,10 @@ func TestTwoReplicasServeIdenticalBytes(t *testing.T) {
 // but reports the degradation: flipping to non-200 would tell the load
 // balancer to drop the one replica that still has the bytes.
 func TestHealthzDegradedStillOK(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	st := &stubState{}
-	ts, _, coord := replicaServer(t, dir, "r0", []core.Experiment{stubExperiment("stub1", st)})
+	ts, store, coord := replicaServer(t, dir, "r0", []core.Experiment{stubExperiment("stub1", st)})
 	client := &http.Client{}
 
 	code, body := get(t, client, ts.URL+"/healthz")
@@ -89,7 +90,7 @@ func TestHealthzDegradedStillOK(t *testing.T) {
 	if len(coord.Degraded()) != 0 {
 		t.Fatalf("pre-degraded: %v", coord.Degraded())
 	}
-	defer fault.Enable(fault.NewPlan(fault.Rule{Site: replica.SiteCkptWrite, Kind: fault.Error}))()
+	store.SetFaults(fault.NewPlan(fault.Rule{Site: replica.SiteCkptWrite, Kind: fault.Error}))
 	code, first := get(t, client, ts.URL+"/v1/artifacts/stub1")
 	if code != 200 {
 		t.Fatalf("degraded build: status %d", code)

@@ -352,9 +352,6 @@ func (s *Server) Handler() http.Handler {
 // stragglers.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Prewarm builds (or loads from the checkpoint store) every registered
 // artifact for the base scenario, in registry order, and returns how
 // many are warm. It is meant to run in the background after the
