@@ -48,14 +48,15 @@ chaos:
 	$(GO) test -race -run 'TestHealthzDegradedStillOK|TestLeaseLostDuringCoreBuildKeepsScenarioUsable' ./internal/serve
 
 # Concurrency stress gate: every test that pins a concurrency guarantee
-# (one build fleet-wide, lease takeover under chaos, a superseded holder
-# never publishing, request coalescing,
+# (one build fleet-wide, including between daemons sharing a checkpoint
+# dir under default names, lease takeover under chaos, a superseded
+# holder never publishing, request coalescing,
 # admission, drain, hits served before the gate, render-once), repeated
 # 500 times on two cores, then once under the race detector.
 # Each test states its guarantee as a GIVEN/WHEN/THEN comment. The gate
 # is 0 failures.
 STRESS_REPLICA = ^(TestConcurrentReplicasBuildOnce|TestChaosKilledLeaderConverges|TestLeaseTakeoverRebuildsByteIdentical|TestLeaseLostCancelsSlowHolder|TestLeaseLostBetweenTicksNeverPublishes)$$
-STRESS_SERVE = ^(TestCoalescingOneBuild|TestAdmissionGateRejects|TestDrainLetsInflightFinish|TestHitsBypassSaturatedGate|TestConcurrentHitsRenderOnce|TestGroupCoalescesConcurrentCallers|TestGroupWaiterAbandonsOnContextCancel|TestGateQueuesThenRejects|TestGateQueuedCallerHonorsContext)$$
+STRESS_SERVE = ^(TestSharedDirDaemonsBuildOnce|TestCoalescingOneBuild|TestAdmissionGateRejects|TestDrainLetsInflightFinish|TestHitsBypassSaturatedGate|TestConcurrentHitsRenderOnce|TestGroupCoalescesConcurrentCallers|TestGroupWaiterAbandonsOnContextCancel|TestGateQueuesThenRejects|TestGateQueuedCallerHonorsContext)$$
 stress:
 	GOMAXPROCS=2 $(GO) test -count=500 -run '$(STRESS_REPLICA)' ./internal/replica
 	GOMAXPROCS=2 $(GO) test -count=500 -run '$(STRESS_SERVE)' ./internal/serve
@@ -85,7 +86,7 @@ check: fmt-check chaos stress
 	$(GO) test -run 'TestReferencePlacementByteIdentical' ./internal/cluster
 	$(GO) test -run 'TestSketchMatchesExact|TestUsageSketchMatchesExactUsage' ./internal/stats ./internal/hostload
 	$(GO) test -run 'TestMetricsExposition|TestAccessLogWritten|TestMultiReplicaSmoke' ./cmd/reprod
-	$(GO) test -run 'TestColdRequestTraceChain|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover|TestHitsBypassSaturatedGate|TestReportAssembledByteIdentical|TestEvictionRebuildByteIdentical' \
+	$(GO) test -run 'TestColdRequestTraceChain|TestFleetColdTraceHasCheckpointSpans|TestServedBytesIdenticalTraced|TestETag|TestTwoReplicas|TestLeaseTakeover|TestHitsBypassSaturatedGate|TestReportAssembledByteIdentical|TestEvictionRebuildByteIdentical' \
 		./internal/serve ./internal/replica
 	$(MAKE) smoke-replicas
 	$(MAKE) bench-once

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gridsim"
 	"repro/internal/hostload"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -184,14 +185,15 @@ func BenchmarkRunAllCheckpointWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	coord := replica.New(replica.Config{Store: store})
 	cold := core.NewContext(core.QuickConfig())
-	if _, err := core.RunExperiments(context.Background(), cold, core.Experiments(), core.RunOptions{Workers: 0, Ckpt: store}); err != nil {
+	if _, err := core.RunExperiments(context.Background(), cold, core.Experiments(), core.RunOptions{Workers: 0, Ckpt: coord}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := core.NewContext(core.QuickConfig())
-		results, err := core.RunExperiments(context.Background(), ctx, core.Experiments(), core.RunOptions{Workers: 0, Ckpt: store})
+		results, err := core.RunExperiments(context.Background(), ctx, core.Experiments(), core.RunOptions{Workers: 0, Ckpt: coord})
 		if err != nil {
 			b.Fatal(err)
 		}

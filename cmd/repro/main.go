@@ -25,9 +25,14 @@
 // -keep-going annotates failed experiments "FAILED: <cause>" (exit
 // code 3) instead of aborting the run; -checkpoint-dir persists each
 // finished experiment so an interrupted run resumed with the same
-// directory rebuilds only the missing artifacts. SIGINT/SIGTERM cancel
-// the run cooperatively, flush -metrics-out/-trace-out, and exit with
-// 128+signum (130 for SIGINT).
+// directory rebuilds only the missing artifacts. Checkpointed builds
+// take a lease in the directory (the same one cmd/reprod replicas
+// use), so concurrent runs and daemons sharing it build each
+// experiment once; a run killed outright (SIGKILL) leaves leases on
+// its in-flight experiments, which a resumed run takes over after at
+// most one lease TTL (5s). SIGINT/SIGTERM cancel the run
+// cooperatively, release its leases, flush -metrics-out/-trace-out,
+// and exit with 128+signum (130 for SIGINT).
 //
 // Observability (-metrics-out, -trace-out, -pprof, -progress) is
 // strictly additive: .dat/.csv files, metric values and all stdout up
@@ -57,6 +62,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/report"
 )
 
@@ -173,13 +179,14 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 			defer traceFile.Close()
 		}
 	}
-	var store *ckpt.Store
+	var coord *replica.Coordinator
 	if *ckptDir != "" {
-		var err error
-		if store, err = ckpt.NewStore(*ckptDir, rec.Registry()); err != nil {
+		store, err := ckpt.NewStore(*ckptDir, rec.Registry())
+		if err != nil {
 			fmt.Fprintf(stderr, "repro: %v\n", err)
 			return 1
 		}
+		coord = replica.New(replica.Config{Store: store, Rec: rec})
 	}
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
@@ -219,7 +226,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 
 	code := runExperiments(rootCtx, cfg, runParams{
 		stdout: stdout, stderr: stderr,
-		rec: rec, store: store,
+		rec: rec, coord: coord,
 		only: *only, extensions: *extensions,
 		parallel: *parallel, expTimeout: *expTimeout, keepGoing: *keepGoing,
 		verbose: *verbose, check: *check, progress: *progress,
@@ -261,7 +268,7 @@ func run(parent context.Context, args []string, stdout, stderr io.Writer) int {
 type runParams struct {
 	stdout, stderr io.Writer
 	rec            *obs.Recorder
-	store          *ckpt.Store
+	coord          *replica.Coordinator
 	only           string
 	extensions     bool
 	parallel       int
@@ -339,7 +346,7 @@ func runExperiments(rootCtx context.Context, cfg core.Config, p runParams) int {
 		Workers:    p.parallel,
 		ExpTimeout: p.expTimeout,
 		KeepGoing:  p.keepGoing,
-		Ckpt:       p.store,
+		Ckpt:       p.coord,
 	})
 	runSpan.End()
 	failed := 0

@@ -16,17 +16,18 @@
 //	       [-replica-id name] [-lease-ttl d]
 //	       [-chaos-seed n] [-chaos-prob p]
 //
-// Multi-replica mode (-replica-id over a -checkpoint-dir shared by
-// every replica) coordinates any number of daemons into one logical
-// cache: the first replica to claim a cold artifact takes a lease in
-// the checkpoint directory and builds it exactly once fleet-wide,
-// siblings read it from the shared store, and a replica that dies
-// mid-build has its stale lease taken over after -lease-ttl.
-// -replica-id without -checkpoint-dir is rejected: without a shared
-// store there is nothing to coordinate through. -chaos-prob arms
-// deterministic error-kind fault injections (seeded by -chaos-seed)
-// across the replica failure surface, for convergence drills. See
-// README "Running N replicas".
+// -checkpoint-dir makes the daemon a replica: any number of daemons
+// over one directory coordinate into one logical cache, and a lone
+// daemon is a fleet of one. The first replica to claim a cold artifact
+// takes a lease in the checkpoint directory and builds it exactly once
+// fleet-wide, siblings read it from the shared store, and a replica
+// that dies mid-build has its stale lease taken over after -lease-ttl.
+// -replica-id only names the replica (in lease files and /healthz); by
+// default the name is unique to the process. -replica-id without
+// -checkpoint-dir is rejected: without a shared store there is nothing
+// to coordinate through. -chaos-prob arms deterministic error-kind
+// fault injections (seeded by -chaos-seed) across the replica failure
+// surface, for convergence drills. See README "Running N replicas".
 //
 // Endpoints (see README "Serving" for the full table): /healthz,
 // /metrics (Prometheus text), /debug/trace and /debug/trace/{traceID}
@@ -130,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		accessSample = fs.Int("access-log-sample", 1, "log every nth request (head-based, deterministic; 1 = all)")
 		traceBuffer  = fs.Int("trace-buffer", 4096, "span ring capacity for /debug/trace (bounded memory)")
 		runtimePd    = fs.Duration("runtime-sample", 10*time.Second, "runtime gauge sampling period (0 = off)")
-		replicaID    = fs.String("replica-id", "", "enable multi-replica coordination under this replica name (needs -checkpoint-dir)")
+		replicaID    = fs.String("replica-id", "", "name this replica in lease files and /healthz (needs -checkpoint-dir; default: unique per process)")
 		leaseTTL     = fs.Duration("lease-ttl", 5*time.Second, "distributed build-lease lifetime between heartbeats")
 		chaosSeed    = fs.Uint64("chaos-seed", 0, "deterministic fault-injection seed for the replica chaos sites")
 		chaosProb    = fs.Float64("chaos-prob", 0, "per-site probability of arming one injected error (0 = chaos off)")
@@ -205,13 +206,25 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	rec := obs.NewRecorder()
+	// A checkpoint directory makes this daemon a replica: every artifact
+	// build goes through the coordinator (shared-store singleflight via
+	// leases), the only reader and writer of checkpoints.
 	var store *ckpt.Store
+	var coord *replica.Coordinator
 	if *ckptDir != "" {
 		var err error
 		if store, err = ckpt.NewStore(*ckptDir, rec.Registry()); err != nil {
 			fmt.Fprintf(stderr, "reprod: %v\n", err)
 			return 1
 		}
+		coord = replica.New(replica.Config{
+			ID:    *replicaID,
+			Store: store,
+			TTL:   *leaseTTL,
+			Rec:   rec,
+		})
+		fmt.Fprintf(stderr, "reprod: replica %q coordinating through %s, lease TTL %v\n",
+			coord.ID(), *ckptDir, *leaseTTL)
 	}
 
 	var accessW io.Writer
@@ -230,21 +243,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	sampler := obs.StartRuntimeSampler(rec.Registry(), *runtimePd)
 	defer sampler.Stop()
-
-	// Multi-replica mode: every artifact build goes through the
-	// fleet-wide coordinator (shared-store singleflight via leases). The
-	// coordinator owns checkpoint I/O on that path.
-	var coord *replica.Coordinator
-	if *replicaID != "" {
-		coord = replica.New(replica.Config{
-			ID:    *replicaID,
-			Store: store,
-			TTL:   *leaseTTL,
-			Rec:   rec,
-		})
-		fmt.Fprintf(stderr, "reprod: replica %q coordinating through %s, lease TTL %v\n",
-			*replicaID, *ckptDir, *leaseTTL)
-	}
 
 	// Chaos mode arms this daemon's plan on the root context, which
 	// every build (and so every lease and core fault site) runs under,
@@ -267,7 +265,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	srv := serve.New(serve.Config{
 		Base:            cfg,
-		Store:           store,
 		Replica:         coord,
 		Rec:             rec,
 		BaseContext:     rootCtx,

@@ -32,7 +32,7 @@ func BenchmarkSave(b *testing.B) {
 	p := benchPayload()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Save(Key("bench", "save"), p); err != nil {
+		if _, err := s.Save(Key("bench", "save"), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,13 +45,13 @@ func BenchmarkLoadHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := Key("bench", "load")
-	if err := s.Save(key, benchPayload()); err != nil {
+	if _, err := s.Save(key, benchPayload()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var p benchResult
-		ok, err := s.Load(key, &p)
+		ok, err := load(s, key, &p)
 		if err != nil || !ok {
 			b.Fatalf("load: ok=%v err=%v", ok, err)
 		}

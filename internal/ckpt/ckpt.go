@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -56,8 +57,9 @@ func Key(parts ...string) string {
 }
 
 // Store is a directory of checkpoint files, one per key. The zero
-// Store (or a nil *Store) is disabled: Load always misses and Save is
-// a no-op, so callers don't need to branch on "checkpointing off".
+// Store (or a nil *Store) is disabled: LoadRaw always misses and the
+// writes are no-ops, so callers don't need to branch on "checkpointing
+// off".
 //
 // A directory may be shared by any number of stores across processes
 // (the multi-replica serving deployment does exactly that): temp files
@@ -161,21 +163,27 @@ func (s *Store) Keys() ([]string, error) {
 	return keys, nil
 }
 
-// Save marshals v as JSON and atomically writes it under key.
-// Values that cannot be marshalled (NaN/Inf metrics, say) are skipped
-// with an error rather than producing a torn file; the caller treats
-// that as "not checkpointed", never as fatal.
-func (s *Store) Save(key string, v any) error {
+// ErrUnmarshalable is wrapped by Save's error for a value that cannot
+// be marshalled: the value is fine to serve, the store just cannot hold
+// it, so it says nothing about the store's health.
+var ErrUnmarshalable = errors.New("value cannot be marshalled")
+
+// Save marshals v as JSON and atomically writes it under key, with
+// SaveRaw's dup/error contract. Values that cannot be marshalled
+// (NaN/Inf metrics, say) are skipped with an error wrapping
+// ErrUnmarshalable and counted as ckpt.skip rather than producing a
+// torn file; the caller treats that as "not checkpointed", never as
+// fatal.
+func (s *Store) Save(key string, v any) (dup bool, err error) {
 	if !s.Enabled() {
-		return nil
+		return false, nil
 	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		s.count("skip")
-		return fmt.Errorf("ckpt: marshal %s: %w", key, err)
+		return false, fmt.Errorf("ckpt: marshal %s: %w: %v", key, ErrUnmarshalable, err)
 	}
-	_, err = s.SaveRaw(key, payload)
-	return err
+	return s.SaveRaw(key, payload)
 }
 
 // SaveRaw atomically writes an already-marshalled payload under key.
@@ -257,47 +265,14 @@ func (s *Store) createTemp() (*os.File, string, error) {
 	return nil, "", fmt.Errorf("temp name space exhausted for writer %s", s.writer)
 }
 
-// Load looks up key and, on a hit, unmarshals the payload into v.
-// ok=false with err=nil is a plain miss; ok=false with non-nil err
-// means a file existed but was rejected (wrong version, truncated,
-// CRC mismatch, bad JSON) and has been removed so the caller rebuilds.
-func (s *Store) Load(key string, v any) (ok bool, err error) {
-	payload, ok, err := s.loadPayload(key)
-	if !ok {
-		return false, err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		s.count("corrupt")
-		os.Remove(s.path(key))
-		return false, fmt.Errorf("ckpt: %s: payload not valid JSON (rebuilding)", key)
-	}
-	s.count("hit")
-	return true, nil
-}
-
 // LoadRaw looks up key and, on a hit, returns the validated payload
 // bytes without unmarshalling, so a replica reading the shared store
-// decodes exactly the bytes the building replica wrote. The
-// miss/error contract matches Load.
+// decodes exactly the bytes the building replica wrote. ok=false with
+// err=nil is a plain miss; ok=false with non-nil err means a file
+// existed but was rejected (wrong version, truncated, CRC mismatch,
+// trailing bytes, malformed JSON) and has been removed so the caller
+// rebuilds.
 func (s *Store) LoadRaw(key string) (payload []byte, ok bool, err error) {
-	payload, ok, err = s.loadPayload(key)
-	if !ok {
-		return nil, false, err
-	}
-	// The payload must at least be well-formed JSON before another
-	// replica trusts it as a cache fill.
-	if !json.Valid(payload) {
-		s.count("corrupt")
-		os.Remove(s.path(key))
-		return nil, false, fmt.Errorf("ckpt: %s: payload not valid JSON (rebuilding)", key)
-	}
-	s.count("hit")
-	return payload, true, nil
-}
-
-// loadPayload reads and validates key's file down to the CRC, without
-// the JSON check or hit accounting (the exported wrappers own those).
-func (s *Store) loadPayload(key string) (payload []byte, ok bool, err error) {
 	if !s.Enabled() {
 		return nil, false, nil
 	}
@@ -346,5 +321,11 @@ func (s *Store) loadPayload(key string) (payload []byte, ok bool, err error) {
 	if got := crc32.ChecksumIEEE(payload); got != crc {
 		return reject(fmt.Sprintf("crc %08x, want %08x", got, crc))
 	}
+	// The payload must at least be well-formed JSON before a reader
+	// trusts it as a cache fill.
+	if !json.Valid(payload) {
+		return reject("payload not valid JSON")
+	}
+	s.count("hit")
 	return payload, true, nil
 }

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,6 +32,15 @@ func counter(reg *obs.Registry, name string) int64 {
 	return reg.Counter(name).Value()
 }
 
+// load is LoadRaw plus the JSON decode every reader applies to a hit.
+func load(s *Store, key string, v any) (bool, error) {
+	b, ok, err := s.LoadRaw(key)
+	if !ok {
+		return false, err
+	}
+	return true, json.Unmarshal(b, v)
+}
+
 func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	if Key("ab", "c") == Key("a", "bc") {
 		t.Fatal(`Key("ab","c") == Key("a","bc")`)
@@ -47,11 +58,11 @@ func TestRoundTrip(t *testing.T) {
 		Metrics: map[string]float64{"mean": 3.5},
 	}
 	key := Key("v1", "fig7", "cfg")
-	if err := s.Save(key, in); err != nil {
+	if _, err := s.Save(key, in); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	var out payload
-	ok, err := s.Load(key, &out)
+	ok, err := load(s, key, &out)
 	if err != nil || !ok {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
@@ -70,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 func TestMissOnAbsentKey(t *testing.T) {
 	s, reg := testStore(t)
 	var out payload
-	ok, err := s.Load(Key("nope"), &out)
+	ok, err := load(s, Key("nope"), &out)
 	if ok || err != nil {
 		t.Fatalf("Load absent: ok=%v err=%v", ok, err)
 	}
@@ -91,7 +102,7 @@ func ckptFile(t *testing.T, s *Store) string {
 func TestTruncatedFileRejected(t *testing.T) {
 	s, reg := testStore(t)
 	key := Key("trunc")
-	if err := s.Save(key, payload{Name: "x", Values: []float64{1, 2, 3}}); err != nil {
+	if _, err := s.Save(key, payload{Name: "x", Values: []float64{1, 2, 3}}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	path := ckptFile(t, s)
@@ -103,7 +114,7 @@ func TestTruncatedFileRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	ok, err := s.Load(key, &out)
+	ok, err := load(s, key, &out)
 	if ok {
 		t.Fatal("truncated file loaded as ok")
 	}
@@ -121,7 +132,7 @@ func TestTruncatedFileRejected(t *testing.T) {
 func TestBitFlipRejected(t *testing.T) {
 	s, reg := testStore(t)
 	key := Key("flip")
-	if err := s.Save(key, payload{Name: "y", Values: []float64{9, 8, 7}}); err != nil {
+	if _, err := s.Save(key, payload{Name: "y", Values: []float64{9, 8, 7}}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	path := ckptFile(t, s)
@@ -134,7 +145,7 @@ func TestBitFlipRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	ok, err := s.Load(key, &out)
+	ok, err := load(s, key, &out)
 	if ok {
 		t.Fatal("bit-flipped file loaded as ok")
 	}
@@ -149,7 +160,7 @@ func TestBitFlipRejected(t *testing.T) {
 func TestVersionBumpInvalidates(t *testing.T) {
 	s, _ := testStore(t)
 	key := Key("ver")
-	if err := s.Save(key, payload{Name: "z"}); err != nil {
+	if _, err := s.Save(key, payload{Name: "z"}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	path := ckptFile(t, s)
@@ -166,7 +177,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	ok, err := s.Load(key, &out)
+	ok, err := load(s, key, &out)
 	if ok {
 		t.Fatal("version-bumped file loaded as ok")
 	}
@@ -174,7 +185,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 		t.Fatalf("err = %v, want version rejection", err)
 	}
 	// The bad file was removed, so the next Load is a clean miss.
-	ok, err = s.Load(key, &out)
+	ok, err = load(s, key, &out)
 	if ok || err != nil {
 		t.Fatalf("second Load: ok=%v err=%v, want clean miss", ok, err)
 	}
@@ -183,7 +194,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 func TestNonMarshalableSkipped(t *testing.T) {
 	s, reg := testStore(t)
 	bad := map[string]float64{"nan": nan()}
-	err := s.Save(Key("bad"), bad)
+	_, err := s.Save(Key("bad"), bad)
 	if err == nil {
 		t.Fatal("Save of NaN payload succeeded, want marshal error")
 	}
@@ -191,7 +202,7 @@ func TestNonMarshalableSkipped(t *testing.T) {
 		t.Fatalf("ckpt.skip = %d, want 1", got)
 	}
 	var out map[string]float64
-	ok, loadErr := s.Load(Key("bad"), &out)
+	ok, loadErr := load(s, Key("bad"), &out)
 	if ok || loadErr != nil {
 		t.Fatalf("Load after skipped save: ok=%v err=%v", ok, loadErr)
 	}
@@ -207,20 +218,20 @@ func TestDisabledStoreIsNoop(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil store Enabled() = true")
 	}
-	if err := s.Save("k", 1); err != nil {
+	if _, err := s.Save("k", 1); err != nil {
 		t.Fatalf("nil store Save: %v", err)
 	}
 	var v int
-	ok, err := s.Load("k", &v)
+	ok, err := load(s, "k", &v)
 	if ok || err != nil {
-		t.Fatalf("nil store Load: ok=%v err=%v", ok, err)
+		t.Fatalf("nil store LoadRaw: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
 	s, _ := testStore(t)
 	key := Key("tail")
-	if err := s.Save(key, payload{Name: "t"}); err != nil {
+	if _, err := s.Save(key, payload{Name: "t"}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	path := ckptFile(t, s)
@@ -233,7 +244,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 	f.Close()
 	var out payload
-	ok, err := s.Load(key, &out)
+	ok, err := load(s, key, &out)
 	if ok {
 		t.Fatal("file with trailing bytes loaded as ok")
 	}
@@ -242,10 +253,35 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptJSONRejected: a file whose header and CRC are intact but
+// whose payload is not JSON (a writer bug, not a torn write) is
+// rejected, counted corrupt and removed, like any other bad file.
+func TestCorruptJSONRejected(t *testing.T) {
+	s, reg := testStore(t)
+	key := Key("badjson")
+	body := []byte("{not json")
+	if err := os.WriteFile(s.path(key), append([]byte(header(crc32.ChecksumIEEE(body), len(body))), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := load(s, key, &payload{})
+	if ok {
+		t.Fatal("non-JSON payload loaded as ok")
+	}
+	if err == nil || !strings.Contains(err.Error(), "not valid JSON") {
+		t.Fatalf("err = %v, want JSON rejection", err)
+	}
+	if got := counter(reg, "ckpt.corrupt"); got != 1 {
+		t.Fatalf("ckpt.corrupt = %d, want 1", got)
+	}
+	if _, statErr := os.Stat(s.path(key)); !os.IsNotExist(statErr) {
+		t.Fatal("corrupt file not removed")
+	}
+}
+
 func TestKeysListsOnlyCheckpoints(t *testing.T) {
 	s, _ := testStore(t)
 	for _, k := range []string{Key("b"), Key("a")} {
-		if err := s.Save(k, payload{Name: k}); err != nil {
+		if _, err := s.Save(k, payload{Name: k}); err != nil {
 			t.Fatalf("Save: %v", err)
 		}
 	}

@@ -39,10 +39,10 @@ func TestSharedDirSecondWriterLosesRenameAsHit(t *testing.T) {
 	stores, regs := sharedDirStores(t, 2)
 	key := Key("shared", "fig2")
 	in := payload{Name: "fig2", Values: []float64{1, 2, 3}}
-	if err := stores[0].Save(key, in); err != nil {
+	if _, err := stores[0].Save(key, in); err != nil {
 		t.Fatalf("first Save: %v", err)
 	}
-	if err := stores[1].Save(key, in); err != nil {
+	if _, err := stores[1].Save(key, in); err != nil {
 		t.Fatalf("second Save: %v", err)
 	}
 	if got := counter(regs[1], "ckpt.dup"); got != 1 {
@@ -52,7 +52,7 @@ func TestSharedDirSecondWriterLosesRenameAsHit(t *testing.T) {
 		t.Fatalf("writer 1 ckpt.store = %d, want 0 (it lost the race)", got)
 	}
 	var out payload
-	if ok, err := stores[1].Load(key, &out); !ok || err != nil {
+	if ok, err := load(stores[1], key, &out); !ok || err != nil {
 		t.Fatalf("Load after dup: ok=%v err=%v", ok, err)
 	}
 	if out.Name != in.Name {
@@ -73,7 +73,7 @@ func TestSharedDirConcurrentSaves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := stores[i%2].Save(key, in); err != nil {
+			if _, err := stores[i%2].Save(key, in); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -84,7 +84,7 @@ func TestSharedDirConcurrentSaves(t *testing.T) {
 		t.Errorf("concurrent Save: %v", err)
 	}
 	var out payload
-	if ok, err := stores[0].Load(key, &out); !ok || err != nil {
+	if ok, err := load(stores[0], key, &out); !ok || err != nil {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
 	if out.Name != "race" {
@@ -151,7 +151,7 @@ func TestCkptWriteFaultSite(t *testing.T) {
 	s, reg := testStore(t)
 	s.SetFaults(fault.NewPlan(fault.Rule{Site: "ckpt.write", Kind: fault.Error}))
 	key := Key("blocked")
-	err := s.Save(key, payload{Name: "blocked"})
+	_, err := s.Save(key, payload{Name: "blocked"})
 	if err == nil {
 		t.Fatal("Save under ckpt.write fault succeeded")
 	}
@@ -162,7 +162,7 @@ func TestCkptWriteFaultSite(t *testing.T) {
 	if got := counter(reg, "ckpt.skip"); got != 1 {
 		t.Fatalf("ckpt.skip = %d, want 1", got)
 	}
-	if ok, _ := s.Load(key, &payload{}); ok {
+	if _, ok, _ := s.LoadRaw(key); ok {
 		t.Fatal("blocked write still produced a file")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/replica"
 )
 
 // RunOptions configures the fault-tolerant experiment runner.
@@ -24,10 +25,10 @@ type RunOptions struct {
 	// into annotated placeholder Results instead of aborting the run.
 	// Parent-context cancellation still stops the run.
 	KeepGoing bool
-	// Ckpt, when non-nil and enabled, is consulted before running each
-	// experiment and written after each success, so an interrupted run
-	// resumed with the same store rebuilds only the missing artifacts.
-	Ckpt *ckpt.Store
+	// Ckpt, when non-nil, checkpoints every experiment through
+	// RunOne's coordinator path, so an interrupted run resumed with the
+	// same directory rebuilds only the missing artifacts.
+	Ckpt *replica.Coordinator
 }
 
 // ckptSchema versions the checkpointed Result encoding. Bump it when
@@ -96,8 +97,9 @@ func runExperimentProtected(ctx context.Context, c *Context, e Experiment, timeo
 }
 
 // RunExperiments is the fault-tolerant runner both the CLI paths use:
-// checkpoint lookup, panic isolation, per-experiment deadlines,
-// keep-going degradation and early cancellation, over 1..N workers
+// each experiment goes through RunOne (checkpointing, panic isolation,
+// per-experiment deadlines), plus keep-going degradation and early
+// cancellation, over 1..N workers
 // (<= 0 means GOMAXPROCS; 1 runs inline). Results come back in list
 // order regardless of completion order, and are byte-identical to a
 // serial run's: every artifact an experiment consumes is memoized once
@@ -126,33 +128,17 @@ func RunExperiments(ctx context.Context, c *Context, exps []Experiment, opt RunO
 		start = time.Now()
 	}
 
-	loopErr := par.ForEachCtx(ctx, "experiments", len(exps), w, observer, func(runCtx context.Context, i, worker int) error {
+	loopErr := par.ForEachCtx(ctx, "experiments", len(exps), w, observer, func(runCtx context.Context, i, _ int) error {
 		e := exps[i]
-		if opt.Ckpt.Enabled() {
-			var cached Result
-			if ok, _ := opt.Ckpt.Load(CheckpointKey(c.Cfg, e.ID), &cached); ok && cached.ID == e.ID {
-				results[i] = &cached
-				return nil
-			}
-		}
 		if rec != nil && w > 1 {
 			rec.Registry().Histogram("par.queue_wait_seconds", queueWaitUppers).
 				Observe(time.Since(start).Seconds())
 		}
-		sp := rec.Span("exp:"+e.ID, obs.CatExperiment, worker)
-		r, err := runExperimentProtected(runCtx, c, e, opt.ExpTimeout)
-		sp.End()
+		r, err := RunOne(runCtx, c, e, opt.ExpTimeout, opt.Ckpt)
 		if err == nil {
 			results[i] = r
-			if opt.Ckpt.Enabled() && !r.Failed() {
-				// Best-effort: an unwritable or unmarshalable artifact
-				// (NaN metrics, full disk) is simply not checkpointed;
-				// the store's ckpt.skip counter records it.
-				_ = opt.Ckpt.Save(CheckpointKey(c.Cfg, e.ID), r)
-			}
 			return nil
 		}
-		err = fmt.Errorf("core: %s: %w", e.ID, err)
 		errs[i] = err
 		if opt.KeepGoing {
 			// The parent being cancelled means the operator wants out;

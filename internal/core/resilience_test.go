@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -196,13 +197,9 @@ func TestCheckpointResumeZeroRebuilds(t *testing.T) {
 
 	run := func() ([]*Result, *obs.Registry) {
 		rec := obs.NewRecorder()
-		store, err := ckpt.NewStore(dir, rec.Registry())
-		if err != nil {
-			t.Fatal(err)
-		}
 		c := NewContext(cfg)
 		c.SetRecorder(rec)
-		results, err := RunExperiments(context.Background(), c, exps, RunOptions{Workers: 2, Ckpt: store})
+		results, err := RunExperiments(context.Background(), c, exps, RunOptions{Workers: 2, Ckpt: testCoordinator(t, dir, rec)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,6 +229,37 @@ func TestCheckpointResumeZeroRebuilds(t *testing.T) {
 	}
 }
 
+// testCoordinator opens a checkpoint store over dir, counting into rec,
+// and the coordinator RunOne checkpoints through.
+func testCoordinator(t *testing.T, dir string, rec *obs.Recorder) *replica.Coordinator {
+	t.Helper()
+	store, err := ckpt.NewStore(dir, rec.Registry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replica.New(replica.Config{ID: "test", Store: store, Rec: rec})
+}
+
+// TestForeignCheckpointRebuilds: a checkpoint under an experiment's key
+// that decodes to another experiment's Result is a miss, so RunOne
+// builds instead of serving the wrong artifact.
+func TestForeignCheckpointRebuilds(t *testing.T) {
+	c := NewContext(QuickConfig())
+	coord := testCoordinator(t, t.TempDir(), obs.NewRecorder())
+	if _, err := coord.Store().Save(CheckpointKey(c.Cfg, "mine"), newResult("other", "other")); err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	mine := Experiment{ID: "mine", Title: "mine", Run: func(*Context) (*Result, error) {
+		runs++
+		return newResult("mine", "mine"), nil
+	}}
+	r, err := RunOne(context.Background(), c, mine, 0, coord)
+	if err != nil || r.ID != "mine" || runs != 1 {
+		t.Fatalf("RunOne = %+v, %v after %d runs; want a fresh build of mine", r, err, runs)
+	}
+}
+
 // TestCheckpointKeyChangesWithConfig: a config change must miss.
 func TestCheckpointKeyChangesWithConfig(t *testing.T) {
 	a := QuickConfig()
@@ -248,12 +276,6 @@ func TestCheckpointKeyChangesWithConfig(t *testing.T) {
 // TestFailedResultsNotCheckpointed: keep-going placeholders must never
 // be persisted, or a transient failure would become permanent.
 func TestFailedResultsNotCheckpointed(t *testing.T) {
-	dir := t.TempDir()
-	rec := obs.NewRecorder()
-	store, err := ckpt.NewStore(dir, rec.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
 	calls := 0
 	flaky := Experiment{ID: "flaky", Title: "flaky", Run: func(*Context) (*Result, error) {
 		calls++
@@ -263,7 +285,7 @@ func TestFailedResultsNotCheckpointed(t *testing.T) {
 		return newResult("flaky", "flaky"), nil
 	}}
 	c := NewContext(QuickConfig())
-	opts := RunOptions{Workers: 1, KeepGoing: true, Ckpt: store}
+	opts := RunOptions{Workers: 1, KeepGoing: true, Ckpt: testCoordinator(t, t.TempDir(), obs.NewRecorder())}
 	results, err := RunExperiments(context.Background(), c, []Experiment{flaky}, opts)
 	if err != nil || !results[0].Failed() {
 		t.Fatalf("first run: results=%v err=%v", results, err)

@@ -1,10 +1,15 @@
-// Package replica makes N serving daemons behave like one: the shared
-// ckpt.Store is the fleet's content-addressed artifact cache, and
-// lease-based distributed singleflight on top of it builds a key once
-// across the whole fleet no matter which replica the requests land on
-// — and keeps serving it when the replica that was building it dies
-// mid-build. Each daemon keeps its own finished artifacts in serve's
-// per-artifact cache, so the coordinator is consulted only on a miss.
+// Package replica makes N builders sharing one checkpoint directory
+// behave like one: the shared ckpt.Store is the fleet's
+// content-addressed artifact cache, and lease-based distributed
+// singleflight on top of it builds a key once across the whole fleet no
+// matter which builder asks — and keeps serving it when the builder
+// that was working on it dies mid-build. The Coordinator is the only
+// reader and writer of experiment checkpoints: core.RunOne sends every
+// store-backed build through Do, so a cmd/repro -checkpoint-dir run and
+// a lone daemon are each a fleet of one, and concurrent runs or daemons
+// over one directory build each key once. Each daemon keeps its own
+// finished artifacts in serve's per-artifact cache, so the coordinator
+// is consulted only on a miss.
 //
 // Protocol: the first replica to claim a key atomically publishes
 // `<key>.lease.1` in the shared checkpoint directory (owner ID and TTL
@@ -23,21 +28,24 @@
 // on the new holder instead.
 //
 // Every failure path degrades instead of failing the request: lease
-// directory unreachable → build locally without coordination; shared
-// store unwritable → the built artifact is still served (and kept in
-// serve's artifact cache), and Degraded() reports "store" (the
-// daemon's /healthz stays 200). Chaos sites (replica.lease.acquire/
-// renew/release, plus ckpt.write in the store) let the fault-injection
-// suite prove each of those degradations, and the lease takeover,
-// deterministically.
+// directory unreachable → build locally without coordination, and
+// Degraded() reports "lease" (as it does when a release fails and
+// leaves a lease to expire); shared store unwritable → the built
+// artifact is still served (and kept in serve's artifact cache), and
+// Degraded() reports "store" (the daemon's /healthz stays 200). Chaos
+// sites (replica.lease.acquire/renew/release, plus ckpt.write in the
+// store) let the fault-injection suite prove each of those
+// degradations, and the lease takeover, deterministically.
 package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -67,7 +75,7 @@ const (
 	SourceNone          Source = iota
 	SourceStore                // read from the shared checkpoint store
 	SourceBuild                // built here under a held lease
-	SourceBuildUnleased        // built here without coordination (degraded or storeless)
+	SourceBuildUnleased        // built here without coordination (lease directory down)
 )
 
 func (s Source) String() string {
@@ -86,12 +94,15 @@ func (s Source) String() string {
 // Config assembles a Coordinator.
 type Config struct {
 	// ID names this replica in lease files, temp-file suffixes and
-	// /healthz. Required.
+	// /healthz. Empty picks a name unique to this coordinator: host,
+	// process ID and a per-process sequence number, so two coordinators
+	// in one process (tests run several daemons per process) or in two
+	// containers that share a PID still own their leases apart.
 	ID string
 
-	// Store is the shared cache; leases live in its directory. A
-	// disabled store leaves nothing to coordinate through: every Do
-	// builds locally.
+	// Store is the shared cache; leases live in its directory. It must
+	// be enabled: without a directory there is nothing to coordinate
+	// through, and the caller builds directly instead.
 	Store *ckpt.Store
 
 	// TTL is the lease lifetime between heartbeats (default 5s). A
@@ -106,7 +117,8 @@ type Config struct {
 	Poll time.Duration
 
 	// Rec receives replica.* metrics and, for traced requests, the
-	// lease-wait spans. nil allocates a fresh recorder.
+	// store-read, publish and lease-wait spans. nil allocates a fresh
+	// recorder.
 	Rec *obs.Recorder
 }
 
@@ -115,7 +127,7 @@ type Config struct {
 type Coordinator struct {
 	id     string
 	store  *ckpt.Store
-	leases *leaseDir // nil when the store is disabled
+	leases *leaseDir
 	rec    *obs.Recorder
 
 	heartbeatEvery time.Duration
@@ -137,8 +149,19 @@ type Coordinator struct {
 	leaseWaits    *obs.Counter
 }
 
-// New assembles a Coordinator from cfg, applying defaults.
+// unnamed numbers the coordinators this process has given default IDs.
+var unnamed atomic.Uint64
+
+// New assembles a Coordinator from cfg, applying defaults. It panics on
+// a disabled store.
 func New(cfg Config) *Coordinator {
+	if !cfg.Store.Enabled() {
+		panic("replica: New needs an enabled checkpoint store")
+	}
+	if cfg.ID == "" {
+		host, _ := os.Hostname()
+		cfg.ID = fmt.Sprintf("%s-p%d-%d", host, os.Getpid(), unnamed.Add(1))
+	}
 	rec := cfg.Rec
 	if rec == nil {
 		rec = obs.NewRecorder()
@@ -159,6 +182,7 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		id:             cfg.ID,
 		store:          cfg.Store,
+		leases:         &leaseDir{dir: cfg.Store.Dir(), owner: cfg.ID, ttl: ttl, now: time.Now},
 		rec:            rec,
 		heartbeatEvery: hb,
 		poll:           poll,
@@ -175,15 +199,16 @@ func New(cfg Config) *Coordinator {
 		leaseErr:       reg.Counter("replica.lease.err"),
 		leaseWaits:     reg.Counter("replica.lease.wait"),
 	}
-	if cfg.Store.Enabled() {
-		c.leases = &leaseDir{dir: cfg.Store.Dir(), owner: cfg.ID, ttl: ttl, now: time.Now}
-		cfg.Store.SetWriter(cfg.ID)
-	}
+	cfg.Store.SetWriter(cfg.ID)
 	return c
 }
 
 // ID returns the replica's name.
 func (c *Coordinator) ID() string { return c.id }
+
+// Store returns the shared checkpoint store the coordinator reads and
+// publishes through.
+func (c *Coordinator) Store() *ckpt.Store { return c.store }
 
 // Degraded returns the active degradation reasons, sorted; empty means
 // every subsystem the coordinator depends on is answering.
@@ -220,15 +245,17 @@ func (c *Coordinator) clearDegraded(subsystem string) {
 // Do returns the value for the content-addressed key: read from the
 // shared store, or else claimed, re-checked and built via build under a
 // distributed lease, or else waited for while another replica builds
-// it. newV allocates the value that store payloads unmarshal into; the
-// build path returns build's value directly. ctx bounds the whole call
-// (waiting included) and is handed to build.
-func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build func(context.Context) (any, error)) (any, Source, error) {
-	if c.leases == nil {
-		// No shared directory: no cache to read, nowhere to put a lease.
-		return c.buildLocal(ctx, key, build)
-	}
-	if v, ok := c.loadStore(key, newV); ok {
+// it. decode turns a stored payload into the value; a payload it
+// rejects (say, one that names another artifact) is a miss. The build
+// path returns build's value directly and publishes it to the store. ctx
+// bounds the whole call (waiting included) and is handed to build. A
+// traced ctx gets ckpt:load and ckpt:save child spans around the first
+// store read and the publish.
+func (c *Coordinator) Do(ctx context.Context, key string, decode func([]byte) (any, error), build func(context.Context) (any, error)) (any, Source, error) {
+	sp := c.span(ctx, "ckpt:load:", key)
+	v, ok := c.loadStore(key, decode)
+	sp.End()
+	if ok {
 		return v, SourceStore, nil
 	}
 	for {
@@ -253,8 +280,8 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 			// Double-checked claim: the previous holder may have
 			// published and released between our store miss and this
 			// claim. Building now would be the key's second build.
-			if v, ok := c.loadStore(key, newV); ok {
-				c.leases.release(ctx, key, cur, true)
+			if v, ok := c.loadStore(key, decode); ok {
+				c.release(ctx, key, cur, true)
 				return v, SourceStore, nil
 			}
 			v, lost, err := c.buildLeased(ctx, key, cur, build)
@@ -268,7 +295,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 			// not published; loop to wait on the new holder.
 			continue
 		}
-		v, done, err := c.waitForHolder(ctx, key, newV)
+		v, done, err := c.waitForHolder(ctx, key, decode)
 		if err != nil {
 			return nil, SourceNone, err
 		}
@@ -282,17 +309,38 @@ func (c *Coordinator) Do(ctx context.Context, key string, newV func() any, build
 
 // loadStore reads and decodes key's validated payload from the shared
 // store.
-func (c *Coordinator) loadStore(key string, newV func() any) (any, bool) {
+func (c *Coordinator) loadStore(key string, decode func([]byte) (any, error)) (any, bool) {
 	payload, ok, _ := c.store.LoadRaw(key)
 	if !ok {
 		return nil, false
 	}
-	v := newV()
-	if err := json.Unmarshal(payload, v); err != nil {
+	v, err := decode(payload)
+	if err != nil {
 		return nil, false
 	}
 	c.storeHit.Add(1)
 	return v, true
+}
+
+// span starts a child span named prefix plus the abbreviated key when
+// ctx is traced; untraced calls get a nil span, whose End is a no-op.
+func (c *Coordinator) span(ctx context.Context, prefix, key string) *obs.Span {
+	if _, traced := obs.SpanFromContext(ctx); !traced {
+		return nil
+	}
+	sp, _ := c.rec.StartSpan(ctx, prefix+shortKey(key), obs.CatReplica)
+	return sp
+}
+
+// release gives up a held lease. A release that fails leaves a
+// live-looking lease behind until its TTL runs out, so it counts as a
+// lease error and marks the lease subsystem degraded; the next good
+// acquire clears the mark.
+func (c *Coordinator) release(ctx context.Context, key string, mine leaseRecord, stored bool) {
+	if err := c.leases.release(ctx, key, mine, stored); err != nil {
+		c.leaseErr.Add(1)
+		c.setDegraded("lease", err)
+	}
 }
 
 // buildLeased runs build while heartbeating the held lease, publishes
@@ -313,7 +361,7 @@ func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRec
 	if err != nil {
 		// Give the next claimant a clean shot instead of making it
 		// wait out the TTL.
-		c.leases.release(ctx, key, mine, false)
+		c.release(ctx, key, mine, false)
 		return nil, false, err
 	}
 	// The build may have finished between a takeover and the next
@@ -325,8 +373,8 @@ func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRec
 		return nil, true, nil
 	}
 	c.buildDone.Add(1)
-	stored := c.publish(key, v)
-	c.leases.release(ctx, key, mine, stored)
+	stored := c.publish(ctx, key, v)
+	c.release(ctx, key, mine, stored)
 	return v, false, nil
 }
 
@@ -339,22 +387,23 @@ func (c *Coordinator) buildLocal(ctx context.Context, key string, build func(con
 	}
 	c.buildDone.Add(1)
 	c.buildUnleased.Add(1)
-	c.publish(key, v)
+	c.publish(ctx, key, v)
 	return v, SourceBuildUnleased, nil
 }
 
 // publish writes a finished value to the store, best-effort, and
-// reports whether the store now holds it. A store write failure marks
-// the coordinator degraded — the caller still serves the value; a
-// duplicate store file (another replica finished first) counts the
-// redundant work.
-func (c *Coordinator) publish(key string, v any) (stored bool) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return false // unmarshalable values are served but not cacheable
-	}
-	dup, err := c.store.SaveRaw(key, payload)
+// reports whether the store now holds it. An unmarshalable value (NaN
+// metrics) is served but not stored, and the store counts it as
+// ckpt.skip; a store write failure also marks the coordinator degraded
+// — the caller still serves the value; a duplicate store file (another
+// replica finished first) counts the redundant work.
+func (c *Coordinator) publish(ctx context.Context, key string, v any) (stored bool) {
+	sp := c.span(ctx, "ckpt:save:", key)
+	defer sp.End()
+	dup, err := c.store.Save(key, v)
 	switch {
+	case errors.Is(err, ckpt.ErrUnmarshalable):
+		// Not cacheable, but the store itself is healthy.
 	case err != nil:
 		c.setDegraded("store", err)
 	case dup:
@@ -411,17 +460,13 @@ func (c *Coordinator) startHeartbeat(ctx context.Context, key string, mine lease
 // the shared store for the published result and watching the lease.
 // done=false means the lease vanished or expired and the caller should
 // race to claim the key.
-func (c *Coordinator) waitForHolder(ctx context.Context, key string, newV func() any) (v any, done bool, err error) {
+func (c *Coordinator) waitForHolder(ctx context.Context, key string, decode func([]byte) (any, error)) (v any, done bool, err error) {
 	c.leaseWaits.Add(1)
-	if _, traced := obs.SpanFromContext(ctx); traced {
-		var sp *obs.Span
-		sp, ctx = c.rec.StartSpan(ctx, "replica:wait:"+shortKey(key), obs.CatReplica)
-		defer sp.End()
-	}
+	defer c.span(ctx, "replica:wait:", key).End()
 	ticker := time.NewTicker(c.poll)
 	defer ticker.Stop()
 	for {
-		if v, ok := c.loadStore(key, newV); ok {
+		if v, ok := c.loadStore(key, decode); ok {
 			return v, true, nil
 		}
 		// An unreadable lease directory also returns: the outer loop's

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,10 @@ type artifact struct {
 	Vals []float64 `json:"vals"`
 }
 
-func newArtifact() any { return &artifact{} }
+func decodeArtifact(b []byte) (any, error) {
+	v := &artifact{}
+	return v, json.Unmarshal(b, v)
+}
 
 func buildArtifact(name string, calls *atomic.Int64) func(context.Context) (any, error) {
 	return func(context.Context) (any, error) {
@@ -35,13 +39,9 @@ func buildArtifact(name string, calls *atomic.Int64) func(context.Context) (any,
 // testCoordinator opens a coordinator over dir with fast test timings.
 func testCoordinator(t *testing.T, dir, id string) *Coordinator {
 	t.Helper()
-	var store *ckpt.Store
-	if dir != "" {
-		s, err := ckpt.NewStore(dir, obs.NewRegistry())
-		if err != nil {
-			t.Fatalf("NewStore: %v", err)
-		}
-		store = s
+	store, err := ckpt.NewStore(dir, obs.NewRegistry())
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
 	}
 	return New(Config{
 		ID:        id,
@@ -69,20 +69,20 @@ func TestDoBuildsOnceThenServesFromTiers(t *testing.T) {
 	var calls atomic.Int64
 	key := ckpt.Key("replica", "tiers")
 
-	v, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
+	v, src, err := a.Do(context.Background(), key, decodeArtifact, buildArtifact("tiers", &calls))
 	if err != nil || src != SourceBuild {
 		t.Fatalf("first Do: src=%v err=%v", src, err)
 	}
 	if got := v.(*artifact).Name; got != "tiers" {
 		t.Fatalf("value = %q", got)
 	}
-	_, src, err = a.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
+	_, src, err = a.Do(context.Background(), key, decodeArtifact, buildArtifact("tiers", &calls))
 	if err != nil || src != SourceStore {
 		t.Fatalf("second Do: src=%v err=%v", src, err)
 	}
 	// A fresh replica over the same directory reads the store too.
 	b := testCoordinator(t, dir, "r1")
-	_, src, err = b.Do(context.Background(), key, newArtifact, buildArtifact("tiers", &calls))
+	_, src, err = b.Do(context.Background(), key, decodeArtifact, buildArtifact("tiers", &calls))
 	if err != nil || src != SourceStore {
 		t.Fatalf("sibling Do: src=%v err=%v", src, err)
 	}
@@ -116,7 +116,7 @@ func TestConcurrentReplicasBuildOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := reps[i%len(reps)].Do(context.Background(), key, newArtifact, buildArtifact("stampede", &calls))
+			v, _, err := reps[i%len(reps)].Do(context.Background(), key, decodeArtifact, buildArtifact("stampede", &calls))
 			errs[i] = err
 			if err == nil {
 				b, _ := json.Marshal(v)
@@ -165,7 +165,7 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, aErr = a.Do(actx, key, newArtifact, func(ctx context.Context) (any, error) {
+		_, _, aErr = a.Do(actx, key, decodeArtifact, func(ctx context.Context) (any, error) {
 			close(building)
 			<-ctx.Done() // hangs forever: the leader is dead
 			return nil, ctx.Err()
@@ -174,7 +174,7 @@ func TestLeaseTakeoverRebuildsByteIdentical(t *testing.T) {
 	<-building
 
 	var calls atomic.Int64
-	v, src, err := b.Do(context.Background(), key, newArtifact, buildArtifact("takeover", &calls))
+	v, src, err := b.Do(context.Background(), key, decodeArtifact, buildArtifact("takeover", &calls))
 	if err != nil {
 		t.Fatalf("b.Do: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestLeaseLostCancelsSlowHolder(t *testing.T) {
 	}
 	aDone := make(chan outcome, 1)
 	go func() {
-		v, src, err := a.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+		v, src, err := a.Do(context.Background(), key, decodeArtifact, func(ctx context.Context) (any, error) {
 			if aBuilds.Add(1) > 1 {
 				return nil, errors.New("A claimed the key a second time")
 			}
@@ -251,7 +251,7 @@ func TestLeaseLostCancelsSlowHolder(t *testing.T) {
 	<-building
 
 	var calls atomic.Int64
-	vB, src, err := b.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+	vB, src, err := b.Do(context.Background(), key, decodeArtifact, func(ctx context.Context) (any, error) {
 		// Hold B's generation until A's heartbeat has seen it.
 		select {
 		case <-aCancelled:
@@ -319,7 +319,7 @@ func TestLeaseLostBetweenTicksNeverPublishes(t *testing.T) {
 	aDone := make(chan outcome, 1)
 	var aBuilds atomic.Int64
 	go func() {
-		v, src, err := a.Do(context.Background(), key, newArtifact, func(ctx context.Context) (any, error) {
+		v, src, err := a.Do(context.Background(), key, decodeArtifact, func(ctx context.Context) (any, error) {
 			if aBuilds.Add(1) > 1 {
 				return nil, errors.New("A claimed the key a second time")
 			}
@@ -332,7 +332,7 @@ func TestLeaseLostBetweenTicksNeverPublishes(t *testing.T) {
 	}()
 	<-building
 
-	vB, src, err := b.Do(context.Background(), key, newArtifact, func(context.Context) (any, error) {
+	vB, src, err := b.Do(context.Background(), key, decodeArtifact, func(context.Context) (any, error) {
 		close(bClaimed)
 		<-aReturned // A's build is done before B publishes
 		return &artifact{Name: "betweenticks", Vals: []float64{1, 2.5, 3}}, nil
@@ -368,21 +368,6 @@ func TestLeaseLostBetweenTicksNeverPublishes(t *testing.T) {
 	}
 }
 
-// TestStorelessDoBuildsImmediately: a coordinator without a store has
-// nothing to read and nowhere to put a lease, so Do builds once, at
-// once, and reports the build as unleased.
-func TestStorelessDoBuildsImmediately(t *testing.T) {
-	c := testCoordinator(t, "", "r0")
-	var calls atomic.Int64
-	v, src, err := c.Do(context.Background(), ckpt.Key("replica", "storeless"), newArtifact, buildArtifact("storeless", &calls))
-	if err != nil || src != SourceBuildUnleased || v.(*artifact).Name != "storeless" {
-		t.Fatalf("Do: v=%+v src=%v err=%v, want an unleased build", v, src, err)
-	}
-	if calls.Load() != 1 || counter(c, "replica.build.unleased") != 1 {
-		t.Fatalf("builds = %d, replica.build.unleased = %d; want 1 and 1", calls.Load(), counter(c, "replica.build.unleased"))
-	}
-}
-
 func TestUnwritableStoreDegradesButServes(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -390,7 +375,7 @@ func TestUnwritableStoreDegradesButServes(t *testing.T) {
 	a.store.SetFaults(fault.NewPlan(fault.Rule{Site: SiteCkptWrite, Kind: fault.Error}))
 
 	key := ckpt.Key("replica", "readonly")
-	v, src, err := a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil))
+	v, src, err := a.Do(context.Background(), key, decodeArtifact, buildArtifact("readonly", nil))
 	if err != nil || src != SourceBuild {
 		t.Fatalf("Do under ckpt.write fault: src=%v err=%v", src, err)
 	}
@@ -403,7 +388,7 @@ func TestUnwritableStoreDegradesButServes(t *testing.T) {
 	}
 	// Nothing reached the store, so the next Do rebuilds and still
 	// serves (serve's artifact cache keeps the first result in process).
-	v, src, err = a.Do(context.Background(), key, newArtifact, buildArtifact("readonly", nil))
+	v, src, err = a.Do(context.Background(), key, decodeArtifact, buildArtifact("readonly", nil))
 	if err != nil || src != SourceBuild || v.(*artifact).Name != "readonly" {
 		t.Fatalf("second Do: v=%+v src=%v err=%v, want a successful rebuild", v, src, err)
 	}
@@ -416,7 +401,7 @@ func TestLeaseInfraDownDegradesToUncoordinatedBuild(t *testing.T) {
 	ctx := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Kind: fault.Error}))
 
 	var calls atomic.Int64
-	_, src, err := a.Do(ctx, ckpt.Key("replica", "noleases"), newArtifact, buildArtifact("noleases", &calls))
+	_, src, err := a.Do(ctx, ckpt.Key("replica", "noleases"), decodeArtifact, buildArtifact("noleases", &calls))
 	if err != nil || src != SourceBuildUnleased {
 		t.Fatalf("Do: src=%v err=%v", src, err)
 	}
@@ -431,17 +416,88 @@ func TestDegradationClearsOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	a := testCoordinator(t, dir, "r0")
 	faulted := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: SiteLeaseAcquire, Hit: 1, Kind: fault.Error}))
-	if _, src, _ := a.Do(faulted, ckpt.Key("replica", "dip1"), newArtifact, buildArtifact("dip1", nil)); src != SourceBuildUnleased {
+	if _, src, _ := a.Do(faulted, ckpt.Key("replica", "dip1"), decodeArtifact, buildArtifact("dip1", nil)); src != SourceBuildUnleased {
 		t.Fatalf("faulted Do src = %v", src)
 	}
 	if len(a.Degraded()) != 1 {
 		t.Fatalf("Degraded() = %v, want the lease dip recorded", a.Degraded())
 	}
-	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip2"), newArtifact, buildArtifact("dip2", nil)); src != SourceBuild {
+	if _, src, _ := a.Do(context.Background(), ckpt.Key("replica", "dip2"), decodeArtifact, buildArtifact("dip2", nil)); src != SourceBuild {
 		t.Fatalf("recovered Do src = %v", src)
 	}
 	if deg := a.Degraded(); len(deg) != 0 {
 		t.Fatalf("Degraded() after recovery = %v, want empty", deg)
+	}
+}
+
+// TestLeaseReleaseFailureDegrades: a release that fails after a good
+// build leaves the lease on disk to expire, so it must show: counted as
+// a lease error and reported as a lease degradation, which the next
+// good acquire clears.
+func TestLeaseReleaseFailureDegrades(t *testing.T) {
+	t.Parallel()
+	a := testCoordinator(t, t.TempDir(), "r0")
+	ctx := fault.With(context.Background(), fault.NewPlan(fault.Rule{Site: SiteLeaseRelease, Hit: 1, Kind: fault.Error}))
+	key := ckpt.Key("replica", "norelease")
+	if _, src, err := a.Do(ctx, key, decodeArtifact, buildArtifact("norelease", nil)); err != nil || src != SourceBuild {
+		t.Fatalf("Do: src=%v err=%v, want a build", src, err)
+	}
+	if got := counter(a, "replica.lease.err"); got != 1 {
+		t.Fatalf("replica.lease.err = %d, want 1", got)
+	}
+	if deg := a.Degraded(); len(deg) != 1 || deg[0][:6] != "lease:" {
+		t.Fatalf("Degraded() = %v, want one lease reason", deg)
+	}
+	if _, ok, _ := a.leases.read(key); !ok {
+		t.Fatal("the failed release removed the lease anyway")
+	}
+	if _, src, err := a.Do(context.Background(), ckpt.Key("replica", "released"), decodeArtifact, buildArtifact("released", nil)); err != nil || src != SourceBuild {
+		t.Fatalf("next Do: src=%v err=%v, want a build", src, err)
+	}
+	if deg := a.Degraded(); len(deg) != 0 {
+		t.Fatalf("Degraded() after a good acquire = %v, want empty", deg)
+	}
+}
+
+// TestUnmarshalableServedNotStored: a value the store cannot hold (a
+// NaN metric) is still served, counts as ckpt.skip, leaves the store
+// healthy and empty, and releases its lease so the next caller builds
+// without waiting out the TTL.
+func TestUnmarshalableServedNotStored(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	store, err := ckpt.NewStore(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{ID: "r0", Store: store, TTL: time.Hour})
+	key := ckpt.Key("replica", "nan")
+	nan := func(context.Context) (any, error) { return map[string]float64{"m": math.NaN()}, nil }
+	v, src, err := a.Do(context.Background(), key, decodeArtifact, nan)
+	if err != nil || src != SourceBuild || !math.IsNaN(v.(map[string]float64)["m"]) {
+		t.Fatalf("Do: v=%v src=%v err=%v, want the NaN value built and served", v, src, err)
+	}
+	if got := reg.Counter("ckpt.skip").Value(); got != 1 {
+		t.Fatalf("ckpt.skip = %d, want 1", got)
+	}
+	if deg := a.Degraded(); len(deg) != 0 {
+		t.Fatalf("Degraded() = %v, want none: the store is healthy", deg)
+	}
+	if _, ok, _ := store.LoadRaw(key); ok {
+		t.Fatal("unmarshalable value reached the store")
+	}
+	done := make(chan Source, 1)
+	go func() {
+		_, src, _ := a.Do(context.Background(), key, decodeArtifact, nan)
+		done <- src
+	}()
+	select {
+	case src := <-done:
+		if src != SourceBuild {
+			t.Fatalf("second Do src = %v, want a fresh build", src)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Do waited on the released lease")
 	}
 }
 
@@ -510,7 +566,7 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 				if key == victim && r == 0 {
 					ctx = actx // the doomed leader's request dies with it
 				}
-				v, _, err := reps[r].Do(ctx, key, newArtifact, buildFor(key, &effective))
+				v, _, err := reps[r].Do(ctx, key, decodeArtifact, buildFor(key, &effective))
 				if err != nil {
 					if key == victim {
 						return // the killed leader's own request may fail
@@ -592,7 +648,7 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 			t.Fatalf("store LoadRaw(%s) = %q ok=%v err=%v, want %q", key[:8], stored, ok, err, want)
 		}
 		for i, r := range reps {
-			v, src, err := r.Do(context.Background(), key, newArtifact, buildFor(key, &effective))
+			v, src, err := r.Do(context.Background(), key, decodeArtifact, buildFor(key, &effective))
 			got, _ := json.Marshal(v)
 			if err != nil || src != SourceStore || string(got) != string(want) {
 				t.Fatalf("r%d.Do(%s) after convergence: src=%v err=%v got=%q, want store bytes %q", i, key[:8], src, err, got, want)

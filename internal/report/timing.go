@@ -33,20 +33,3 @@ func Dur(d time.Duration) string {
 	}
 	return d.Round(time.Millisecond).String()
 }
-
-// Bytes formats a byte count with a binary-prefix unit.
-func Bytes(n int64) string {
-	abs := n
-	if abs < 0 {
-		abs = -abs
-	}
-	switch {
-	case abs >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case abs >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case abs >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
-}

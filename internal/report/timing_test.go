@@ -71,22 +71,3 @@ func TestDur(t *testing.T) {
 		}
 	}
 }
-
-func TestBytes(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{0, "0 B"},
-		{512, "512 B"},
-		{1 << 10, "1.00 KiB"},
-		{3 << 20, "3.00 MiB"},
-		{5 << 30, "5.00 GiB"},
-		{-2 << 20, "-2.00 MiB"},
-	}
-	for _, c := range cases {
-		if got := Bytes(c.in); got != c.want {
-			t.Errorf("Bytes(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}

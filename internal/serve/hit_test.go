@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -295,15 +294,12 @@ func TestReportAssembledByteIdentical(t *testing.T) {
 	all := append(append([]core.Experiment(nil), paper...), ext...)
 	// The CLI run leaves checkpoints the daemon warm-starts from, so the
 	// slow part, building every experiment, happens once.
-	store, err := ckpt.NewStore(t.TempDir(), nil)
+	dir := t.TempDir()
+	results, err := core.RunExperiments(context.Background(), core.NewContext(cfg), all, core.RunOptions{Workers: 2, Ckpt: coordinator(t, dir, "cli", obs.NewRecorder())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := core.RunExperiments(context.Background(), core.NewContext(cfg), all, core.RunOptions{Workers: 2, Ckpt: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Base: cfg, Store: store})
+	s := New(Config{Base: cfg, Replica: coordinator(t, dir, "", obs.NewRecorder())})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

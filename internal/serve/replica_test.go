@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,26 +21,34 @@ import (
 	"repro/internal/replica"
 )
 
-// replicaServer boots one multi-replica daemon over the shared dir,
-// returning the test server and the coordinator behind it.
-func replicaServer(t *testing.T, dir, id string, exps []core.Experiment) (*httptest.Server, *ckpt.Store, *replica.Coordinator) {
+// coordinator opens a checkpoint store over dir and the coordinator
+// named id (empty: the default per-process name) that checkpoints
+// through it, counting into rec, with fast test timings.
+func coordinator(t *testing.T, dir, id string, rec *obs.Recorder) *replica.Coordinator {
 	t.Helper()
-	rec := obs.NewRecorder()
 	store, err := ckpt.NewStore(dir, rec.Registry())
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	coord := replica.New(replica.Config{
+	return replica.New(replica.Config{
 		ID:    id,
 		Store: store,
 		TTL:   200 * time.Millisecond,
 		Poll:  10 * time.Millisecond,
 		Rec:   rec,
 	})
-	srv := New(Config{Base: tinyConfig(), Experiments: exps, Store: store, Replica: coord, Rec: rec})
+}
+
+// replicaServer boots one checkpointed daemon over the shared dir,
+// returning the test server, its store and the coordinator behind it.
+func replicaServer(t *testing.T, dir, id string, exps []core.Experiment) (*httptest.Server, *ckpt.Store, *replica.Coordinator) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	coord := coordinator(t, dir, id, rec)
+	srv := New(Config{Base: tinyConfig(), Experiments: exps, Replica: coord, Rec: rec})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, store, coord
+	return ts, coord.Store(), coord
 }
 
 // TestTwoReplicasServeIdenticalBytes: one replica builds, the sibling
@@ -193,5 +202,127 @@ func TestLeaseLostDuringCoreBuildKeepsScenarioUsable(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, key+".lease.*")); len(left) != 0 {
 		t.Fatalf("lease files left after the stored rebuild: %v", left)
+	}
+}
+
+// TestSharedDirDaemonsBuildOnce enforces one build per key between
+// daemons that share a checkpoint directory without naming themselves.
+//
+// GIVEN two daemons over one checkpoint dir, each with the default
+// per-process replica name,
+// WHEN both get a request for the same cold artifact while its build
+// runs,
+// THEN the experiment runs once, the store is written once, and no
+// duplicate write is counted.
+func TestSharedDirDaemonsBuildOnce(t *testing.T) {
+	dir := t.TempDir()
+	st := &stubState{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	exps := []core.Experiment{stubExperiment("stub1", st)}
+	recs := []*obs.Recorder{obs.NewRecorder(), obs.NewRecorder()}
+	var urls []string
+	for _, rec := range recs {
+		srv := New(Config{Base: tinyConfig(), Experiments: exps, Replica: coordinator(t, dir, "", rec), Rec: rec})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	bodies := make(chan string, 2)
+	fetch := func(url string) {
+		code, body := get(t, client, url+"/v1/artifacts/stub1")
+		if code != http.StatusOK {
+			t.Errorf("GET %s: status %d: %s", url, code, body)
+		}
+		bodies <- string(body)
+	}
+	go fetch(urls[0])
+	<-st.entered // the first daemon is building
+	go fetch(urls[1])
+	waitFor(t, "the second daemon to wait on the lease", func() bool {
+		return recs[1].Registry().Counter("replica.lease.wait").Value() > 0
+	})
+	close(st.release)
+	if a, b := <-bodies, <-bodies; a != b {
+		t.Fatalf("daemons served different bytes:\n%s\n%s", a, b)
+	}
+	if n := st.runs.Load(); n != 1 {
+		t.Fatalf("experiment ran %d times across two daemons, want 1", n)
+	}
+	var stores, dups int64
+	for _, rec := range recs {
+		stores += rec.Registry().Counter("ckpt.store").Value()
+		dups += rec.Registry().Counter("ckpt.dup").Value()
+	}
+	if stores != 1 || dups != 0 {
+		t.Fatalf("ckpt.store = %d, ckpt.dup = %d; want 1 and 0", stores, dups)
+	}
+}
+
+// TestFleetColdTraceHasCheckpointSpans: in a fleet, a traced cold build
+// records the store read and the publish as children of the request's
+// coalesce span, and a sibling's traced read of the published artifact
+// records the store read alone.
+func TestFleetColdTraceHasCheckpointSpans(t *testing.T) {
+	dir := t.TempDir()
+	exps := []core.Experiment{stubExperiment("stub1", &stubState{})}
+	ts0, _, _ := replicaServer(t, dir, "r0", exps)
+	ts1, _, _ := replicaServer(t, dir, "r1", exps)
+	key := core.CheckpointKey(tinyConfig(), "stub1")[:12]
+
+	for _, tc := range []struct {
+		ts   *httptest.Server
+		want []string
+	}{
+		{ts0, []string{"ckpt:load:" + key, "exp:stub1", "ckpt:save:" + key}},
+		{ts1, []string{"ckpt:load:" + key}},
+	} {
+		resp, err := tc.ts.Client().Get(tc.ts.URL + "/v1/artifacts/stub1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		spans := fetchTraceSpans(t, tc.ts.Client(), tc.ts.URL, resp.Header.Get("X-Trace-Id"))
+		byName := make(map[string]obs.SpanRecord, len(spans))
+		for _, sp := range spans {
+			byName[sp.Name] = sp
+		}
+		co, ok := byName["coalesce:stub1"]
+		if !ok {
+			t.Fatalf("no coalesce span; got %v", names(spans))
+		}
+		for _, name := range tc.want {
+			if sp, ok := byName[name]; !ok || sp.ParentID != co.SpanID {
+				t.Errorf("span %s missing or not under coalesce:stub1; got %v", name, names(spans))
+			}
+		}
+		if _, ok := byName["ckpt:save:"+key]; ok && len(tc.want) == 1 {
+			t.Errorf("a store hit published again; got %v", names(spans))
+		}
+	}
+}
+
+// TestFleetSkipsUnmarshalableResult: a result the store cannot hold (a
+// NaN metric) is served from the build, counted as ckpt.skip, and
+// leaves the replica healthy.
+func TestFleetSkipsUnmarshalableResult(t *testing.T) {
+	nan := core.Experiment{ID: "nan1", Title: "nan1", Run: func(*core.Context) (*core.Result, error) {
+		return &core.Result{ID: "nan1", Title: "nan1", Metrics: map[string]float64{"m": math.NaN()}}, nil
+	}}
+	rec := obs.NewRecorder()
+	srv := New(Config{Base: tinyConfig(), Experiments: []core.Experiment{nan}, Replica: coordinator(t, t.TempDir(), "r0", rec), Rec: rec})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, body := get(t, ts.Client(), ts.URL+"/v1/artifacts/nan1?format=md"); code != http.StatusOK {
+		t.Fatalf("NaN artifact as markdown: status %d: %s", code, body)
+	}
+	reg := rec.Registry()
+	if got := reg.Counter("ckpt.skip").Value(); got != 1 {
+		t.Fatalf("ckpt.skip = %d, want 1", got)
+	}
+	if got := reg.Counter("ckpt.store").Value(); got != 0 {
+		t.Fatalf("ckpt.store = %d, want 0", got)
+	}
+	if _, body := get(t, ts.Client(), ts.URL+"/healthz"); !strings.Contains(string(body), `"status":"ok"`) {
+		t.Fatalf("healthz after a skipped publish: %s", body)
 	}
 }

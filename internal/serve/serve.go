@@ -18,9 +18,12 @@
 // run core.RunOne exactly once, observable as a single
 // core.cell.*.miss) → deterministic render. Builds run under the
 // server's lifetime context, so a disconnecting client never aborts a
-// build other requests are waiting on; checkpoint stores created by
-// cmd/repro -checkpoint-dir warm-start the daemon, because RunOne
-// shares core.CheckpointKey with the batch runner.
+// build other requests are waiting on. With a replica.Coordinator
+// (Config.Replica), RunOne checkpoints every build through it — a lone
+// daemon is a fleet of one — so daemons sharing a checkpoint directory
+// build each artifact once between them, and a directory written by
+// cmd/repro -checkpoint-dir warm-starts the daemon, because RunOne keys
+// both by core.CheckpointKey.
 //
 // Determinism contract: for the same config, the bytes served here are
 // byte-identical to the artifacts cmd/repro writes — CSV via the same
@@ -49,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -82,17 +84,12 @@ type Config struct {
 	// uninstrumented `repro -markdown` emits.
 	Experiments []core.Experiment
 
-	// Store, when enabled, warm-starts artifacts from checkpoints and
-	// writes new builds back, so a restart serves from disk instead of
-	// re-simulating. Keys are shared with cmd/repro -checkpoint-dir.
-	Store *ckpt.Store
-
-	// Replica, when set, routes every artifact build through the
-	// cross-replica coordinator: shared-store lookup and lease-based
-	// distributed singleflight. The coordinator owns all checkpoint I/O
-	// on this path (builds run with a nil store), so Store should be the
-	// same store the coordinator wraps. nil keeps the single-replica
-	// behavior exactly.
+	// Replica, when set, checkpoints every artifact build through the
+	// coordinator: shared-store lookup, lease-based distributed
+	// singleflight and write-back, so a restart serves from disk instead
+	// of re-simulating and daemons sharing the directory build each key
+	// once. Keys are shared with cmd/repro -checkpoint-dir. nil builds
+	// without checkpoints.
 	Replica *replica.Coordinator
 
 	// Rec receives cell/build/experiment instrumentation from every
@@ -142,7 +139,6 @@ type Server struct {
 	baseCtx      context.Context
 	rec          *obs.Recorder
 	reg          *obs.Registry
-	store        *ckpt.Store
 	replica      *replica.Coordinator
 	gate         *Gate
 	lru          *lru[*entry]
@@ -216,7 +212,6 @@ func New(cfg Config) *Server {
 		baseCtx:      baseCtx,
 		rec:          rec,
 		reg:          reg,
-		store:        cfg.Store,
 		replica:      cfg.Replica,
 		gate:         NewGate(cfg.MaxInflight, maxQueue, reg),
 		lru:          newLRU[*entry](maxContexts, reg, "serve.ctx"),
@@ -432,7 +427,7 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*ar
 		if ri != nil {
 			buildCtx = obs.ContextWithReqInfo(buildCtx, ri)
 		}
-		res, err := s.runArtifact(buildCtx, e, exp)
+		res, err := core.RunOne(buildCtx, e.cctx, exp, s.buildTimeout, s.replica)
 		if err != nil {
 			return nil, err
 		}
@@ -453,35 +448,6 @@ func (s *Server) result(ctx context.Context, e *entry, exp core.Experiment) (*ar
 		return nil, err
 	}
 	return v.(*artifact), nil
-}
-
-// runArtifact produces one artifact under the in-process singleflight
-// leader. Single-replica mode is core.RunOne against the local store.
-// With a coordinator, the build instead goes through the fleet-wide
-// path — shared store, then lease-guarded build — and the coordinator
-// owns all store I/O, so RunOne gets a nil store: exactly one layer
-// writes checkpoints.
-func (s *Server) runArtifact(ctx context.Context, e *entry, exp core.Experiment) (*core.Result, error) {
-	if s.replica == nil {
-		return core.RunOne(ctx, e.cctx, exp, s.buildTimeout, s.store)
-	}
-	key := core.CheckpointKey(e.cfg, exp.ID)
-	v, src, err := s.replica.Do(ctx, key,
-		func() any { return new(core.Result) },
-		func(bctx context.Context) (any, error) {
-			return core.RunOne(bctx, e.cctx, exp, s.buildTimeout, nil)
-		})
-	if err != nil {
-		return nil, err
-	}
-	ri := obs.ReqInfoFrom(ctx)
-	switch src {
-	case replica.SourceBuild, replica.SourceBuildUnleased:
-		ri.MarkCkptMiss()
-	default:
-		ri.MarkCkptHit()
-	}
-	return v.(*core.Result), nil
 }
 
 // configFor derives the request's scenario from the base config and
@@ -561,7 +527,7 @@ type healthStatus struct {
 	Contexts      int     `json:"contexts"`
 	Checkpoints   int     `json:"checkpoints"`
 
-	// Multi-replica fields, present only when a coordinator is wired.
+	// Checkpoint fields, present only when a coordinator is wired.
 	Replica  string   `json:"replica,omitempty"`
 	Degraded []string `json:"degraded,omitempty"`
 }
@@ -572,15 +538,15 @@ type healthStatus struct {
 // artifact cache, and flipping the health check would tell the load
 // balancer to remove the one replica that still has the bytes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	keys, _ := s.store.Keys() // best-effort: an unreadable dir reads as 0 warm
 	hs := healthStatus{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Experiments:   len(s.allList),
 		Contexts:      s.lru.len(),
-		Checkpoints:   len(keys),
 	}
 	if s.replica != nil {
+		keys, _ := s.replica.Store().Keys() // best-effort: an unreadable dir reads as 0 warm
+		hs.Checkpoints = len(keys)
 		hs.Replica = s.replica.ID()
 		hs.Degraded = s.replica.Degraded()
 		if len(hs.Degraded) > 0 {

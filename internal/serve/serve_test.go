@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -390,11 +389,7 @@ func TestWarmStartFromCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store1, err := ckpt.NewStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := New(Config{Base: cfg, Experiments: []core.Experiment{table1}, Store: store1})
+	s1 := New(Config{Base: cfg, Experiments: []core.Experiment{table1}, Replica: coordinator(t, dir, "", obs.NewRecorder())})
 	ts1 := httptest.NewServer(s1.Handler())
 	code, body1 := get(t, ts1.Client(), ts1.URL+"/v1/artifacts/table1")
 	ts1.Close()
@@ -403,11 +398,7 @@ func TestWarmStartFromCheckpoints(t *testing.T) {
 	}
 
 	rec2 := obs.NewRecorder()
-	store2, err := ckpt.NewStore(dir, rec2.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(Config{Base: cfg, Experiments: []core.Experiment{table1}, Store: store2, Rec: rec2})
+	s2 := New(Config{Base: cfg, Experiments: []core.Experiment{table1}, Replica: coordinator(t, dir, "", rec2), Rec: rec2})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	code, body2 := get(t, ts2.Client(), ts2.URL+"/v1/artifacts/table1")

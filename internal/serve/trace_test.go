@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -48,11 +47,7 @@ func fetchTraceSpans(t *testing.T, client *http.Client, base, traceID string) []
 func TestColdRequestTraceChain(t *testing.T) {
 	rec := obs.NewRecorder()
 	rec.SeedIDs(42) // deterministic IDs so reruns see identical traces
-	store, err := ckpt.NewStore(t.TempDir(), rec.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Base: tinyConfig(), Rec: rec, Store: store})
+	s := New(Config{Base: tinyConfig(), Rec: rec, Replica: coordinator(t, t.TempDir(), "", rec)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -92,12 +87,13 @@ func TestColdRequestTraceChain(t *testing.T) {
 	if root.ParentID != "" || root.Cat != obs.CatRequest {
 		t.Errorf("root span: parent %q cat %q, want root request span", root.ParentID, root.Cat)
 	}
+	key := core.CheckpointKey(tinyConfig(), "fig2")[:12]
 	for _, want := range []struct{ name, parent string }{
 		{"gate:wait", root.SpanID},
 		{"coalesce:fig2", root.SpanID},
-		{"ckpt:load:fig2", byName["coalesce:fig2"].SpanID},
+		{"ckpt:load:" + key, byName["coalesce:fig2"].SpanID},
 		{"exp:fig2", byName["coalesce:fig2"].SpanID},
-		{"ckpt:save:fig2", byName["coalesce:fig2"].SpanID},
+		{"ckpt:save:" + key, byName["coalesce:fig2"].SpanID},
 	} {
 		sp, ok := byName[want.name]
 		if !ok {

@@ -1,8 +1,7 @@
 // Package stats implements the statistical machinery of the paper:
 // empirical CDFs, histograms/PDFs, mass-count disparity (count CDF,
 // mass CDF, joint ratio and mm-distance), Jain's fairness index,
-// moments, quantiles, the Gini coefficient, autocorrelation and
-// correlation.
+// moments, quantiles, autocorrelation and correlation.
 package stats
 
 import (
@@ -129,28 +128,6 @@ func (e *ECDF) Eval(x float64) float64 { return e.s.CDF(x) }
 
 // Quantile returns the p-quantile of the sample.
 func (e *ECDF) Quantile(p float64) float64 { return e.s.Quantile(p) }
-
-// Points returns up to n (x, F(x)) pairs spanning the sample range,
-// suitable for plotting the CDF curve.
-func (e *ECDF) Points(n int) (xs, ys []float64) {
-	sorted := e.s.Values()
-	if len(sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n == 1 {
-		x := sorted[len(sorted)-1]
-		return []float64{x}, []float64{1}
-	}
-	lo, hi := sorted[0], sorted[len(sorted)-1]
-	xs = make([]float64, n)
-	ys = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs[i] = x
-		ys[i] = e.Eval(x)
-	}
-	return xs, ys
-}
 
 // ---------------------------------------------------------------------------
 // Histogram / PDF
@@ -372,7 +349,7 @@ func (mc *MassCount) Curve(n int) (xs, count, mass []float64) {
 }
 
 // ---------------------------------------------------------------------------
-// fairness, autocorrelation, correlation, Gini
+// fairness, autocorrelation, correlation
 
 // JainFairness returns Jain's fairness index of xs:
 // (Σx)² / (n·Σx²). The index is 1 when all values are equal and
@@ -433,60 +410,4 @@ func Correlation(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// KolmogorovSmirnov returns the two-sample KS statistic: the maximum
-// vertical distance between the empirical CDFs of xs and ys. It is the
-// distance measure used to compare a synthetic distribution against a
-// calibration target. Returns NaN if either sample is empty.
-func KolmogorovSmirnov(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return math.NaN()
-	}
-	a := append([]float64(nil), xs...)
-	b := append([]float64(nil), ys...)
-	slices.Sort(a)
-	slices.Sort(b)
-	var d float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		// Evaluate both CDFs just after the next distinct merged value,
-		// consuming ties on both sides together.
-		v := a[i]
-		if b[j] < v {
-			v = b[j]
-		}
-		for i < len(a) && a[i] <= v {
-			i++
-		}
-		for j < len(b) && b[j] <= v {
-			j++
-		}
-		fa := float64(i) / float64(len(a))
-		fb := float64(j) / float64(len(b))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// Gini returns the Gini coefficient of the non-negative sample xs:
-// 0 for perfect equality, approaching 1 as one item dominates.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	var cum, weighted float64
-	for i, x := range sorted {
-		cum += x
-		weighted += float64(i+1) * x
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted)/(float64(n)*cum) - float64(n+1)/float64(n)
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -54,22 +53,6 @@ func TestECDF(t *testing.T) {
 	approx(t, e.Eval(10), 1, 0, "above range")
 	if e.Len() != 4 {
 		t.Fatalf("Len = %d", e.Len())
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{0, 10})
-	xs, ys := e.Points(11)
-	if len(xs) != 11 || len(ys) != 11 {
-		t.Fatalf("points length %d/%d", len(xs), len(ys))
-	}
-	if ys[0] != 0.5 || ys[10] != 1 {
-		t.Fatalf("endpoint CDF values %v %v", ys[0], ys[10])
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1] {
-			t.Fatal("ECDF points not monotone")
-		}
 	}
 }
 
@@ -286,81 +269,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	approx(t, Gini([]float64{1, 1, 1, 1}), 0, 1e-12, "equal")
-	// One person owns everything among n: Gini = (n-1)/n.
-	approx(t, Gini([]float64{0, 0, 0, 100}), 0.75, 1e-12, "dominant")
-	approx(t, Gini([]float64{0, 0}), 0, 0, "all zero")
-	if !math.IsNaN(Gini(nil)) {
-		t.Fatal("empty Gini should be NaN")
-	}
-}
-
-func TestGiniOrderInvariant(t *testing.T) {
-	xs := []float64{5, 1, 9, 3, 7}
-	g1 := Gini(xs)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	approx(t, Gini(sorted), g1, 1e-12, "order invariance")
-}
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	// Identical samples: D = 0.
-	xs := []float64{1, 2, 3, 4, 5}
-	approx(t, KolmogorovSmirnov(xs, xs), 0, 1e-12, "identical samples")
-	// Disjoint samples: D = 1.
-	approx(t, KolmogorovSmirnov([]float64{1, 2}, []float64{10, 20}), 1, 1e-12, "disjoint samples")
-	// Known half-overlap: {1,2,3,4} vs {3,4,5,6} -> D = 0.5.
-	approx(t, KolmogorovSmirnov([]float64{1, 2, 3, 4}, []float64{3, 4, 5, 6}), 0.5, 1e-12, "half overlap")
-	if !math.IsNaN(KolmogorovSmirnov(nil, xs)) {
-		t.Fatal("empty sample should give NaN")
-	}
-}
-
-func TestKolmogorovSmirnovSymmetricBounded(t *testing.T) {
-	s := rng.New(41)
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		n := 5 + src.IntN(100)
-		m := 5 + src.IntN(100)
-		xs := make([]float64, n)
-		ys := make([]float64, m)
-		for i := range xs {
-			xs[i] = src.NormFloat64()
-		}
-		for i := range ys {
-			ys[i] = src.NormFloat64() + s.Float64()
-		}
-		d1 := KolmogorovSmirnov(xs, ys)
-		d2 := KolmogorovSmirnov(ys, xs)
-		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKolmogorovSmirnovDiscriminates(t *testing.T) {
-	// Same-distribution samples have small D; shifted ones large.
-	src := rng.New(43)
-	a := make([]float64, 5000)
-	b := make([]float64, 5000)
-	c := make([]float64, 5000)
-	for i := range a {
-		a[i] = src.NormFloat64()
-		b[i] = src.NormFloat64()
-		c[i] = src.NormFloat64() + 2
-	}
-	same := KolmogorovSmirnov(a, b)
-	diff := KolmogorovSmirnov(a, c)
-	if same > 0.05 {
-		t.Fatalf("same-distribution D %v too large", same)
-	}
-	if diff < 0.5 {
-		t.Fatalf("shifted-distribution D %v too small", diff)
-	}
-}
-
 func TestMassCountMediansBracketDistribution(t *testing.T) {
 	// For heavy-tailed data, the mass median is far to the right of
 	// the count median. Both must lie within the sample range.
@@ -410,24 +318,8 @@ func TestHistogramRejectsNaN(t *testing.T) {
 	}
 }
 
-// TestECDFPointsSingleValue pins the degenerate lo == hi grid: a
-// constant sample yields n duplicate, finite points at (v, 1) rather
-// than NaN xs from a 0/0 interpolation.
-func TestECDFPointsSingleValue(t *testing.T) {
-	e := NewECDF([]float64{7, 7, 7})
-	xs, ys := e.Points(5)
-	if len(xs) != 5 || len(ys) != 5 {
-		t.Fatalf("got %d/%d points, want 5/5", len(xs), len(ys))
-	}
-	for i := range xs {
-		if xs[i] != 7 || ys[i] != 1 {
-			t.Errorf("point %d = (%v, %v), want (7, 1)", i, xs[i], ys[i])
-		}
-	}
-}
-
-// TestMassCountCurveSingleValue pins the same degenerate grid for the
-// mass-count curve: n duplicate points, both CDFs at 1, nothing NaN.
+// TestMassCountCurveSingleValue pins the degenerate lo == hi grid of
+// the mass-count curve: n duplicate points, both CDFs at 1, nothing NaN.
 func TestMassCountCurveSingleValue(t *testing.T) {
 	mc := NewMassCount([]float64{3, 3})
 	if mc == nil {

@@ -72,29 +72,6 @@ func (s *Series) Slice(from, to int64) *Series {
 	}
 }
 
-// Resample returns a new series with the given coarser step; each new
-// sample is the mean of the old samples it covers. newStep must be a
-// positive multiple of the current step.
-func (s *Series) Resample(newStep int64) (*Series, error) {
-	if newStep <= 0 || newStep%s.Step != 0 {
-		return nil, fmt.Errorf("timeseries: new step %d is not a multiple of %d", newStep, s.Step)
-	}
-	k := int(newStep / s.Step)
-	if k == 1 {
-		return New(s.Start, s.Step, s.Values)
-	}
-	n := (len(s.Values) + k - 1) / k
-	out := make([]float64, 0, n)
-	for i := 0; i < len(s.Values); i += k {
-		j := i + k
-		if j > len(s.Values) {
-			j = len(s.Values)
-		}
-		out = append(out, stats.Mean(s.Values[i:j]))
-	}
-	return &Series{Start: s.Start, Step: newStep, Values: out}, nil
-}
-
 // MeanFilter returns the series smoothed with a centred moving-average
 // window of the given half-width (the window covers 2*half+1 samples,
 // truncated at the boundaries). half <= 0 returns a copy.
@@ -204,18 +181,6 @@ func (s *Series) SegmentsOf(levels []int) []Segment {
 // and returns the unchanged-level segments.
 func (s *Series) LevelSegments(levels int) []Segment {
 	return s.SegmentsOf(s.Quantize(levels))
-}
-
-// SegmentDurations collects the durations (seconds) of the segments
-// whose level equals lvl; lvl < 0 selects all segments.
-func SegmentDurations(segs []Segment, lvl int) []float64 {
-	var out []float64
-	for _, sg := range segs {
-		if lvl < 0 || sg.Level == lvl {
-			out = append(out, float64(sg.Duration))
-		}
-	}
-	return out
 }
 
 // Accumulator incrementally builds a fixed-step series from point

@@ -59,35 +59,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := mustNew(t, 0, 5, []float64{1, 3, 5, 7, 9, 11})
-	r, err := s.Resample(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6, 10}
-	for i, v := range r.Values {
-		if v != want[i] {
-			t.Fatalf("resample %v, want %v", r.Values, want)
-		}
-	}
-	if _, err := s.Resample(7); err == nil {
-		t.Fatal("non-multiple step accepted")
-	}
-	same, err := s.Resample(5)
-	if err != nil || same.Len() != s.Len() {
-		t.Fatal("identity resample failed")
-	}
-	// Ragged tail: 6 samples at step 5 -> step 20 covers 4+2.
-	r2, err := s.Resample(20)
-	if err != nil || r2.Len() != 2 {
-		t.Fatalf("ragged resample len=%d err=%v", r2.Len(), err)
-	}
-	if r2.Values[1] != 10 { // mean of 9, 11
-		t.Fatalf("ragged tail mean %v", r2.Values[1])
-	}
-}
-
 func TestMeanFilterConstantInvariant(t *testing.T) {
 	s := mustNew(t, 0, 1, []float64{4, 4, 4, 4, 4})
 	sm := s.MeanFilter(2)
@@ -202,18 +173,6 @@ func TestSegments(t *testing.T) {
 	}
 	if segs[2].Level != 4 || segs[2].Duration != 300 {
 		t.Fatalf("segment 2 %+v", segs[2])
-	}
-}
-
-func TestSegmentDurations(t *testing.T) {
-	segs := []Segment{{Level: 0, Duration: 10}, {Level: 1, Duration: 20}, {Level: 0, Duration: 30}}
-	all := SegmentDurations(segs, -1)
-	if len(all) != 3 {
-		t.Fatalf("all durations %v", all)
-	}
-	zeros := SegmentDurations(segs, 0)
-	if len(zeros) != 2 || zeros[0] != 10 || zeros[1] != 30 {
-		t.Fatalf("level-0 durations %v", zeros)
 	}
 }
 

@@ -45,16 +45,6 @@ func (e EventType) String() string {
 	return eventNames[e]
 }
 
-// ParseEventType converts a trace spelling back to an EventType.
-func ParseEventType(s string) (EventType, error) {
-	for i, n := range eventNames {
-		if n == s {
-			return EventType(i), nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown event type %q", s)
-}
-
 // Terminal reports whether the event ends an execution attempt.
 func (e EventType) Terminal() bool {
 	switch e {
@@ -278,16 +268,6 @@ func (t *Trace) SortEvents() {
 			return cmp.Compare(a.TaskIndex, b.TaskIndex)
 		}
 		return cmp.Compare(a.Type, b.Type)
-	})
-}
-
-// SortJobs orders jobs by submission time then ID.
-func (t *Trace) SortJobs() {
-	slices.SortFunc(t.Jobs, func(a, b Job) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

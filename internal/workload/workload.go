@@ -61,11 +61,6 @@ func JobLengths(jobs []trace.Job) []float64 {
 	return out
 }
 
-// JobLengthCDF returns the ECDF of job lengths (Fig 3).
-func JobLengthCDF(jobs []trace.Job) *stats.ECDF {
-	return stats.NewECDF(JobLengths(jobs))
-}
-
 // TaskLengths extracts task durations in seconds. For Grid traces,
 // where the job is the unit of execution, pass jobs to JobLengths
 // instead.
@@ -262,14 +257,4 @@ func UserShares(jobs []trace.Job, k int) (users int, topShare float64) {
 		top += c
 	}
 	return len(counts), float64(top) / float64(total)
-}
-
-// ProcessorCounts returns the parallel width of each job (Fig 6
-// discussion: Google jobs mostly hold one processor, Grid jobs many).
-func ProcessorCounts(jobs []trace.Job) []float64 {
-	out := make([]float64, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.NumCPUs)
-	}
-	return out
 }

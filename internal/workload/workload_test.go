@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -67,7 +68,7 @@ func TestJobLengthsAndCDF(t *testing.T) {
 	if len(lens) != 3 || lens[0] != 100 || lens[1] != 200 || lens[2] != 1000 {
 		t.Fatalf("lengths %v", lens)
 	}
-	cdf := JobLengthCDF(jobs)
+	cdf := stats.NewECDF(JobLengths(jobs))
 	approx(t, cdf.Eval(200), 2.0/3, 1e-12, "CDF at 200")
 }
 
@@ -155,14 +156,6 @@ func TestMemoryUsageMB(t *testing.T) {
 	approx(t, raw[0], 512, 0, "grid passthrough")
 }
 
-func TestProcessorCounts(t *testing.T) {
-	jobs := []trace.Job{{NumCPUs: 1}, {NumCPUs: 64}}
-	got := ProcessorCounts(jobs)
-	if len(got) != 2 || got[0] != 1 || got[1] != 64 {
-		t.Fatalf("procs %v", got)
-	}
-}
-
 func TestHourOfDayProfile(t *testing.T) {
 	// Two days; hour 9 busy on both days, everything else quiet.
 	var jobs []trace.Job
@@ -212,8 +205,8 @@ func TestGoogleVsGridHeadlines(t *testing.T) {
 	agJobs := synth.AuverGrid.Generate(horizon, rng.New(2))
 
 	// Fig 3: Google jobs shorter.
-	gCDF := JobLengthCDF(gJobs)
-	agCDF := JobLengthCDF(agJobs)
+	gCDF := stats.NewECDF(JobLengths(gJobs))
+	agCDF := stats.NewECDF(JobLengths(agJobs))
 	if gCDF.Eval(1000) <= agCDF.Eval(1000) {
 		t.Errorf("Google P(len<1000)=%v should exceed AuverGrid's %v",
 			gCDF.Eval(1000), agCDF.Eval(1000))
