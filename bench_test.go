@@ -224,15 +224,33 @@ func BenchmarkRunAllParallelInstrumented(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks: the hot paths underneath the figures.
 
+// BenchmarkGoogleWorkloadGeneration times the Google workload in the
+// shapes the run builds: QuickConfig's workload cell (paper rate, one
+// day, jobs capped at 80 tasks), its simulation cell (40 machines, two
+// days, warm start) and serve-mixed's cold-scenario simulation cell (8
+// machines, one day), the sparsest, where the sort widens its buckets
+// and finishes each with an insertion sort.
 func BenchmarkGoogleWorkloadGeneration(b *testing.B) {
-	b.ReportAllocs()
-	cfg := synth.DefaultGoogleConfig(6 * 3600)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tasks := synth.GenerateGoogleTasks(cfg, rng.New(uint64(i+1)))
-		if len(tasks) == 0 {
-			b.Fatal("no tasks")
-		}
+	quick := core.QuickConfig()
+	workload := synth.DefaultGoogleConfig(quick.WorkloadHorizon)
+	workload.MaxTasksPerJob = quick.WorkloadMaxTasksPerJob
+	for _, bc := range []struct {
+		name string
+		cfg  synth.GoogleConfig
+	}{
+		{"quick-workload", workload},
+		{"quick-sim", synth.ScaledGoogleConfig(quick.Machines, quick.SimHorizon)},
+		{"cold-8-machines", synth.ScaledGoogleConfig(8, 86400)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tasks := synth.GenerateGoogleTasks(bc.cfg, rng.New(uint64(i+1)))
+				if len(tasks) == 0 {
+					b.Fatal("no tasks")
+				}
+			}
+		})
 	}
 }
 

@@ -79,7 +79,9 @@ var tmpSeq atomic.Uint64
 
 // NewStore opens (creating if needed) a checkpoint directory. reg may
 // be nil; when set, the store maintains ckpt.hit / ckpt.miss /
-// ckpt.corrupt / ckpt.store / ckpt.skip counters.
+// ckpt.corrupt / ckpt.store / ckpt.skip counters. ckpt.hit counts reads
+// that found a valid file; ckpt.miss counts Miss calls, one per
+// artifact its reader rebuilds, not the reads that found nothing.
 func NewStore(dir string, reg *obs.Registry) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("ckpt: empty directory")
@@ -128,6 +130,11 @@ func (s *Store) Dir() string {
 	}
 	return s.dir
 }
+
+// Miss counts one ckpt.miss: the caller found no valid file for a key
+// and is rebuilding its artifact. A reader that polls an absent key
+// until another writer publishes it calls Miss never.
+func (s *Store) Miss() { s.count("miss") }
 
 func (s *Store) count(name string) {
 	if s != nil && s.reg != nil {
@@ -279,7 +286,6 @@ func (s *Store) LoadRaw(key string) (payload []byte, ok bool, err error) {
 	f, err := os.Open(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.count("miss")
 			return nil, false, nil
 		}
 		s.count("corrupt")

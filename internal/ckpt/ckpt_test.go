@@ -78,13 +78,22 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMissOnAbsentKey: reading an absent key is a plain miss that
+// moves no counter, since a reader may poll until another writer
+// publishes; ckpt.miss counts the rebuilds a reader reports with Miss.
 func TestMissOnAbsentKey(t *testing.T) {
 	s, reg := testStore(t)
 	var out payload
-	ok, err := load(s, Key("nope"), &out)
-	if ok || err != nil {
-		t.Fatalf("Load absent: ok=%v err=%v", ok, err)
+	for range 3 {
+		ok, err := load(s, Key("nope"), &out)
+		if ok || err != nil {
+			t.Fatalf("Load absent: ok=%v err=%v", ok, err)
+		}
 	}
+	if got := counter(reg, "ckpt.miss") + counter(reg, "ckpt.hit") + counter(reg, "ckpt.corrupt"); got != 0 {
+		t.Fatalf("absent-key reads moved counters by %d, want 0", got)
+	}
+	s.Miss()
 	if got := counter(reg, "ckpt.miss"); got != 1 {
 		t.Fatalf("ckpt.miss = %d, want 1", got)
 	}

@@ -509,3 +509,29 @@ func TestAccumulatorSetupReturnsError(t *testing.T) {
 		t.Fatalf("Simulate on adversarial config: %v", err)
 	}
 }
+
+// TestEventStreamNotRegrown runs QuickConfig's simulation cell (40
+// machines, two days) for seeds 1-4 and requires the event stream to
+// end in the capacity eventCap gave it: emit never regrew and copied it.
+func TestEventStreamNotRegrown(t *testing.T) {
+	const machines, horizon = 40, 2 * 86400
+	for seed := uint64(1); seed <= 4; seed++ {
+		s := rng.New(seed)
+		park := synth.GoogleMachines(machines, s.Child("machines"))
+		tasks := synth.GenerateGoogleTasks(synth.ScaledGoogleConfig(machines, horizon), s.Child("google-sim"))
+		cfg := DefaultConfig(park, horizon)
+		res, err := Simulate(cfg, tasks, s.Child("sim"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := 0
+		for _, task := range tasks {
+			if task.Submit < horizon {
+				arrivals++
+			}
+		}
+		if want := eventCap(cfg, arrivals); cap(res.Events) != want {
+			t.Errorf("seed %d: %d events, capacity %d, want the presized %d", seed, len(res.Events), cap(res.Events), want)
+		}
+	}
+}

@@ -250,7 +250,9 @@ func (c *Coordinator) clearDegraded(subsystem string) {
 // path returns build's value directly and publishes it to the store. ctx
 // bounds the whole call (waiting included) and is handed to build. A
 // traced ctx gets ckpt:load and ckpt:save child spans around the first
-// store read and the publish.
+// store read and the publish. A call that ends in a build here counts
+// one ckpt.miss, and one that ends in a store read one ckpt.hit, however
+// often it polled the store while another replica built.
 func (c *Coordinator) Do(ctx context.Context, key string, decode func([]byte) (any, error), build func(context.Context) (any, error)) (any, Source, error) {
 	sp := c.span(ctx, "ckpt:load:", key)
 	v, ok := c.loadStore(key, decode)
@@ -286,6 +288,7 @@ func (c *Coordinator) Do(ctx context.Context, key string, decode func([]byte) (a
 			}
 			v, lost, err := c.buildLeased(ctx, key, cur, build)
 			if !lost {
+				c.store.Miss()
 				if err != nil {
 					return nil, SourceNone, err
 				}
@@ -381,6 +384,7 @@ func (c *Coordinator) buildLeased(ctx context.Context, key string, mine leaseRec
 // buildLocal is the uncoordinated fallback: build, publish, count the
 // unleased build.
 func (c *Coordinator) buildLocal(ctx context.Context, key string, build func(context.Context) (any, error)) (any, Source, error) {
+	c.store.Miss()
 	v, err := build(ctx)
 	if err != nil {
 		return nil, SourceNone, err

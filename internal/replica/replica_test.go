@@ -659,3 +659,75 @@ func TestChaosKilledLeaderConverges(t *testing.T) {
 		t.Fatalf("fresh Do calls ran %d builds, want none", n-int64(len(keys)))
 	}
 }
+
+// TestMissCountsBuildsNotReads: ckpt.miss counts the Do calls that end
+// in a build. A cold Do reads the store twice (before and after its
+// claim) and counts one miss; a waiter on another replica that polls
+// the store while the holder builds, then reads the result, counts
+// none, and one hit.
+func TestMissCountsBuildsNotReads(t *testing.T) {
+	dir := t.TempDir()
+	open := func(id string) (*Coordinator, *obs.Registry) {
+		reg := obs.NewRegistry()
+		store, err := ckpt.NewStore(dir, reg)
+		if err != nil {
+			t.Fatalf("NewStore: %v", err)
+		}
+		// A TTL far beyond the test's length: the waiter must read the
+		// holder's result, never take the lease over.
+		return New(Config{ID: id, Store: store, TTL: 10 * time.Second,
+			Heartbeat: time.Second, Poll: 10 * time.Millisecond}), reg
+	}
+	holder, holderReg := open("r0")
+	waiter, waiterReg := open("r1")
+	key := ckpt.Key("replica", "miss-count")
+
+	started, finish := make(chan struct{}), make(chan struct{})
+	holderDone := make(chan Source, 1)
+	go func() {
+		_, src, err := holder.Do(context.Background(), key, decodeArtifact, func(context.Context) (any, error) {
+			close(started)
+			<-finish
+			return &artifact{Name: "miss-count"}, nil
+		})
+		if err != nil {
+			t.Errorf("holder Do: %v", err)
+		}
+		holderDone <- src
+	}()
+	<-started
+	waiterDone := make(chan Source, 1)
+	go func() {
+		_, src, err := waiter.Do(context.Background(), key, decodeArtifact, buildArtifact("miss-count", nil))
+		if err != nil {
+			t.Errorf("waiter Do: %v", err)
+		}
+		waiterDone <- src
+	}()
+	for counter(waiter, "replica.lease.wait") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * waiter.poll) // the waiter polls the absent key meanwhile
+	close(finish)
+	if src := <-holderDone; src != SourceBuild {
+		t.Fatalf("holder source %v, want build", src)
+	}
+	if src := <-waiterDone; src != SourceStore {
+		t.Fatalf("waiter source %v, want store", src)
+	}
+	for _, c := range []struct {
+		who  string
+		reg  *obs.Registry
+		name string
+		want int64
+	}{
+		{"holder", holderReg, "ckpt.miss", 1},
+		{"holder", holderReg, "ckpt.hit", 0},
+		{"waiter", waiterReg, "ckpt.miss", 0},
+		{"waiter", waiterReg, "ckpt.hit", 1},
+	} {
+		if got := c.reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s %s = %d, want %d", c.who, c.name, got, c.want)
+		}
+	}
+}

@@ -193,8 +193,20 @@ func batchTaskCount(s *rng.Stream, cap int) int {
 
 // GenerateGoogleTasks generates the full task workload: every task
 // carries its job, submission time, priority, resource request and
-// intrinsic duration. Tasks are sorted by submission time.
+// intrinsic duration. Tasks are ordered by (Submit, JobID, Index).
+//
+// Generation writes each task once, in (JobID, Index) order: regular
+// jobs take IDs 1..N in arrival order, and the warm-start service jobs
+// take IDs from 2^40 and come last. A stable sort on Submit alone
+// therefore yields the (Submit, JobID, Index) order. The sort is a
+// counting sort whose count array grows with the Submit range, about
+// the horizon, but never past one entry per task (see sortBySubmit).
 func GenerateGoogleTasks(cfg GoogleConfig, s *rng.Stream) []trace.Task {
+	return generateGoogleTasks(cfg, s).sortBySubmit()
+}
+
+// generateGoogleTasks draws the workload in generation order.
+func generateGoogleTasks(cfg GoogleConfig, s *rng.Stream) *taskChunks {
 	if cfg.Arrival.PerHour == 0 {
 		cfg.Arrival = DefaultGoogleConfig(cfg.Horizon).Arrival
 		cfg.Arrival.PerHour = cfg.JobsPerHour
@@ -203,7 +215,7 @@ func GenerateGoogleTasks(cfg GoogleConfig, s *rng.Stream) []trace.Task {
 	body := s.Child("tasks")
 	busyStart := int64(cfg.BusyFracStart * float64(cfg.Horizon))
 	busyEnd := int64(cfg.BusyFracEnd * float64(cfg.Horizon))
-	var tasks []trace.Task
+	tasks := &taskChunks{}
 	for jobIdx, submit := range arrivals {
 		jobID := int64(jobIdx + 1)
 		demand := 1.0
@@ -213,8 +225,7 @@ func GenerateGoogleTasks(cfg GoogleConfig, s *rng.Stream) []trace.Task {
 		u := body.Float64()
 		switch {
 		case u < pInteractive:
-			tasks = append(tasks, makeGoogleTasks(body, jobID, submit, 1,
-				googleJobPriorityWeights, interactiveLen, googleMemReq, interactiveBusy, demand, false)...)
+			makeGoogleTasks(tasks, body, &interactiveJob, jobID, submit, 1, demand, false)
 		case u < pInteractive+pBatch:
 			n := batchTaskCount(body, cfg.MaxTasksPerJob)
 			if demand > 1 {
@@ -223,26 +234,15 @@ func GenerateGoogleTasks(cfg GoogleConfig, s *rng.Stream) []trace.Task {
 					n = cfg.MaxTasksPerJob
 				}
 			}
-			tasks = append(tasks, makeGoogleTasks(body, jobID, submit, n,
-				googleJobPriorityWeights, batchLen, googleMemReq, batchBusy, demand, false)...)
+			makeGoogleTasks(tasks, body, &batchJob, jobID, submit, n, demand, false)
 		default:
 			n := serviceTaskCount(body, cfg.MaxTasksPerJob)
-			tasks = append(tasks, makeGoogleTasks(body, jobID, submit, n,
-				servicePriorityWeights, serviceLen, serviceMemReq, serviceBusy, demand, true)...)
+			makeGoogleTasks(tasks, body, &serviceJob, jobID, submit, n, demand, false)
 		}
 	}
 	if cfg.WarmStart {
-		tasks = append(tasks, warmServiceTasks(cfg, s.Child("warm"))...)
+		warmServiceTasks(tasks, cfg, s.Child("warm"))
 	}
-	slices.SortFunc(tasks, func(a, b trace.Task) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		if a.JobID != b.JobID {
-			return cmp.Compare(a.JobID, b.JobID)
-		}
-		return cmp.Compare(a.Index, b.Index)
-	})
 	return tasks
 }
 
@@ -253,43 +253,49 @@ const warmJobBase = int64(1) << 40
 // warmServiceTasks draws the service jobs that arrived during the 29
 // days before the trace and are still running at t=0, entering with
 // their residual durations.
-func warmServiceTasks(cfg GoogleConfig, s *rng.Stream) []trace.Task {
+func warmServiceTasks(tasks *taskChunks, cfg GoogleConfig, s *rng.Stream) {
 	const lookback = 29 * 86400
 	serviceRate := cfg.Arrival.PerHour * pService // service jobs per hour
 	arrivals := Arrivals(ArrivalConfig{PerHour: serviceRate}, lookback, s.Child("arrivals"))
 	body := s.Child("tasks")
-	var out []trace.Task
 	for k, a := range arrivals {
 		submit := a - lookback // negative: before the trace epoch
 		n := serviceTaskCount(body, cfg.MaxTasksPerJob)
-		ts := makeGoogleTasks(body, warmJobBase+int64(k), submit, n,
-			servicePriorityWeights, serviceLen, serviceMemReq, serviceBusy, 1, true)
-		for _, t := range ts {
-			residual := t.Submit + t.Duration // time remaining past t=0
-			if residual <= 0 {
-				continue // finished before the trace began
-			}
-			t.Submit = 0
-			t.Duration = residual
-			out = append(out, t)
-		}
+		makeGoogleTasks(tasks, body, &serviceJob, warmJobBase+int64(k), submit, n, 1, true)
 	}
-	return out
 }
 
-func makeGoogleTasks(s *rng.Stream, jobID int64, submit int64, n int,
-	prioWeights []float64, length dist.Dist, memReq dist.Dist,
-	busy dist.Dist, demand float64, service bool) []trace.Task {
-	priority := s.Pick(prioWeights) + 1
+// jobKind is what a job's type fixes for its tasks: the priority
+// histogram, the task-length, memory-request and CPU-busy
+// distributions, and whether it is a long-running service.
+type jobKind struct {
+	prio    []float64
+	length  dist.Dist
+	mem     dist.Dist
+	busy    dist.Dist
+	service bool
+}
+
+var (
+	interactiveJob = jobKind{googleJobPriorityWeights, interactiveLen, googleMemReq, interactiveBusy, false}
+	batchJob       = jobKind{googleJobPriorityWeights, batchLen, googleMemReq, batchBusy, false}
+	serviceJob     = jobKind{servicePriorityWeights, serviceLen, serviceMemReq, serviceBusy, true}
+)
+
+// makeGoogleTasks draws a job's n tasks and writes them to out. A warm
+// task (submitted before the trace epoch) enters at t=0 with its
+// residual duration, or not at all if it finished before the trace
+// began; its draws are made either way, so the stream stays aligned.
+func makeGoogleTasks(out *taskChunks, s *rng.Stream, kind *jobKind, jobID, submit int64, n int, demand float64, warm bool) {
+	priority := s.Pick(kind.prio) + 1
 	user := int(userPopulation.Sample(s))
-	constraint := sampleConstraint(s, service)
-	out := make([]trace.Task, n)
-	for i := range out {
-		d := int64(length.Sample(s))
+	constraint := sampleConstraint(s, kind.service)
+	for i := range n {
+		d := int64(kind.length.Sample(s))
 		if d < 1 {
 			d = 1
 		}
-		b := busy.Sample(s) * demand
+		b := kind.busy.Sample(s) * demand
 		if b > 1 {
 			b = 1
 		}
@@ -300,20 +306,144 @@ func makeGoogleTasks(s *rng.Stream, jobID int64, submit int64, n int,
 		if i > 0 {
 			stagger = int64(i) * int64(1+s.IntN(3))
 		}
-		out[i] = trace.Task{
+		cpu := googleCPUReq.Sample(s)
+		mem := kind.mem.Sample(s)
+		at := submit + stagger
+		if warm {
+			residual := at + d // time remaining past t=0
+			if residual <= 0 {
+				continue
+			}
+			at, d = 0, residual
+		}
+		*out.next() = trace.Task{
 			JobID:       jobID,
 			Index:       i,
-			Submit:      submit + stagger,
+			Submit:      at,
 			Priority:    priority,
 			User:        user,
 			MinCPUClass: constraint,
-			CPUReq:      googleCPUReq.Sample(s),
-			MemReq:      memReq.Sample(s),
+			CPUReq:      cpu,
+			MemReq:      mem,
 			Busy:        b,
 			Duration:    d,
 		}
 	}
+}
+
+// Chunk sizes of taskChunks, in tasks. The first chunk is small so a
+// sparse workload (a few thousand tasks) does not pay for a full one;
+// each next chunk doubles up to the fixed maximum.
+const (
+	firstChunk = 256
+	maxChunk   = 8192
+)
+
+// taskChunks holds tasks in generation order. Each task is written
+// once, into the last chunk; a full chunk stays where it is and a new
+// one starts, so growing the workload never copies it.
+type taskChunks struct {
+	chunks [][]trace.Task // the last one is being filled
+	n      int
+}
+
+// next returns the slot for the next task.
+func (c *taskChunks) next() *trace.Task {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(c.chunks[last]), maxChunk)
+		}
+		c.chunks = append(c.chunks, make([]trace.Task, 0, size))
+		last++
+	}
+	ch := c.chunks[last][:len(c.chunks[last])+1]
+	c.chunks[last] = ch
+	c.n++
+	return &ch[len(ch)-1]
+}
+
+// sortBySubmit moves the tasks into one slice of exact size, stably
+// ordered by Submit, and empties c. It is a counting sort: a pass
+// counts the tasks per Submit bucket, the prefix sums give each
+// bucket's first slot, and a second pass scatters every task to its
+// slot, dropping each chunk once it is scattered.
+//
+// A bucket is one second wide while the Submit range is below the
+// task count. On sparser workloads (a small park over a long horizon)
+// buckets widen by powers of two until there are no more buckets than
+// tasks, and an insertion sort then orders each bucket by Submit; a
+// bucket holds about one task on average, and the sort is stable, so
+// the result is the same.
+func (c *taskChunks) sortBySubmit() []trace.Task {
+	chunks, n := c.chunks, c.n
+	*c = taskChunks{}
+	if n == 0 {
+		return nil
+	}
+	lo, hi := chunks[0][0].Submit, chunks[0][0].Submit
+	for _, ch := range chunks {
+		for i := range ch {
+			lo, hi = min(lo, ch[i].Submit), max(hi, ch[i].Submit)
+		}
+	}
+	shift := bucketShift(hi-lo, n)
+	// next[k] counts bucket k's tasks, then holds its next free slot.
+	next := make([]int, uint64(hi-lo)>>shift+1)
+	for _, ch := range chunks {
+		for i := range ch {
+			next[(ch[i].Submit-lo)>>shift]++
+		}
+	}
+	sum := 0
+	for k, cnt := range next {
+		next[k] = sum
+		sum += cnt
+	}
+	out := make([]trace.Task, n)
+	for j, ch := range chunks {
+		for i := range ch {
+			k := (ch[i].Submit - lo) >> shift
+			out[next[k]] = ch[i]
+			next[k]++
+		}
+		chunks[j] = nil
+	}
+	if shift > 0 {
+		// next[k] is now the end of bucket k.
+		start := 0
+		for _, end := range next {
+			insertionSortBySubmit(out[start:end])
+			start = end
+		}
+	}
 	return out
+}
+
+// bucketShift returns the least shift that leaves no more buckets of
+// width 1<<shift over a Submit span than there are tasks.
+func bucketShift(span int64, n int) int {
+	shift := 0
+	for uint64(span)>>shift >= uint64(n) {
+		shift++
+	}
+	return shift
+}
+
+// insertionSortBySubmit stably sorts ts by Submit.
+func insertionSortBySubmit(ts []trace.Task) {
+	for i := 1; i < len(ts); i++ {
+		if ts[i].Submit >= ts[i-1].Submit {
+			continue
+		}
+		t := ts[i]
+		j := i
+		for ; j > 0 && ts[j-1].Submit > t.Submit; j-- {
+			ts[j] = ts[j-1]
+		}
+		ts[j] = t
+	}
 }
 
 // GoogleJobsFromTasks summarises tasks into jobs assuming immediate
